@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss
-import scala.util.Random
+import scala.util.{Random, Using}
 
 /** The paper's random comparison baselines (Section IV-A):
   *
@@ -22,25 +22,16 @@ object Baselines {
   /** Max trussness gain over `trials` random b-subsets of `pool`. */
   def maxGainOverTrials(spark: SparkSession, g: CompactGraph, pool: Array[Int],
                         b: Int, trials: Int, seed: Long): Long = {
+    require(trials > 0, s"trials must be positive, got $trials")
     import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val poolB = sc.broadcast(pool)
-    val baseDec = LocalTruss.decompose(g)
-    val baseB = sc.broadcast(baseDec)
-    spark.createDataset(0 until trials)
-      .repartition(sc.defaultParallelism)
-      .mapPartitions { it =>
-        val graph = gB.value
-        val base = baseB.value
-        it.map { trial =>
+    Using.resource(new Sweep(spark, g)) { sweep =>
+      sweep.run((LocalTruss.decompose(g), pool), 0 until trials) { case (graph, (base, pool)) =>
+        trial =>
           val rnd = new Random(seed * 1000003L + trial)
-          val picked = rnd.shuffle(poolB.value.toVector).take(math.min(b, poolB.value.length))
+          val picked = rnd.shuffle(pool.toVector).take(math.min(b, pool.length))
           LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, picked))
-        }
-      }
-      .collect()
-      .max
+      }.max
+    }
   }
 
   def rand(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 7L): Long =

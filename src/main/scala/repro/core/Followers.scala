@@ -32,8 +32,8 @@ final case class FindResult(followers: Array[Int], routeSize: Int,
   * optimistic contribution retracted from already-survived edges.
   *
   * A `FollowerFinder` owns reusable O(m) workspace so it can be called for
-  * many candidates cheaply; instances are task-local inside Spark
-  * `mapPartitions` over a broadcast graph.
+  * many candidates cheaply; a [[Sweep]] creates one per Spark task over
+  * the broadcast graph.
   *
   * Previously anchored edges carry trussness `Int.MaxValue` in the input
   * array: they always count as survived support providers and are never

@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss
 import scala.collection.mutable
+import scala.util.Using
 
 /** The greedy framework of the paper in its three incarnations:
   *
@@ -14,14 +15,14 @@ import scala.collection.mutable
   *  - [[gas]]    — Algorithm 6: BASE+ plus the truss-component tree and
   *                 cross-round result reuse of Algorithms 4-5.
   *
-  * All three share one deterministic tie-break (max gain, then smallest edge
-  * id), so their anchor sequences are comparable edge-for-edge; property
-  * tests assert GAS ≡ BASE+ ≡ BASE.
+  * All three run one round loop and differ only in how a round's candidates
+  * are scored, so they share one deterministic tie-break (max gain, then
+  * smallest edge id) and their anchor sequences are comparable
+  * edge-for-edge; property tests assert GAS ≡ BASE+ ≡ BASE.
   *
   * The per-round candidate sweep (`for each e ∈ E\A`) is the bulk-parallel
-  * part: candidates are shipped as a `Dataset` and evaluated in
-  * `mapPartitions` tasks over a broadcast [[CompactGraph]] with per-round
-  * broadcast trussness/layer arrays; the driver keeps only the greedy
+  * part and runs on a [[Sweep]] over the broadcast [[CompactGraph]] with the
+  * round's decomposition as job context; the driver keeps only the greedy
   * selection and (for GAS) the tree/reuse bookkeeping.
   */
 object Greedy {
@@ -41,113 +42,114 @@ object Greedy {
     def totalEvaluations: Long = rounds.map(_.evaluated.toLong).sum
   }
 
+  /** Algorithm 2: full truss decomposition per candidate per round. */
+  def base(spark: SparkSession, g: CompactGraph, b: Int): Result =
+    select(spark, g, b)(sweepAll(spark, g, (graph, dec, anchors) => { e =>
+      val mask = anchors.clone(); mask(e) = true
+      LocalTruss.trussGain(graph, dec, mask)
+    }))
+
+  /** BASE with upward-route/support-check follower computation (Alg. 3). */
+  def basePlus(spark: SparkSession, g: CompactGraph, b: Int): Result =
+    select(spark, g, b)(sweepAll(spark, g, (graph, dec, _) => {
+      val finder = new FollowerFinder(graph)
+      e => finder.find(dec.truss, dec.layer, e).count.toLong
+    }))
+
+  /** Algorithm 6: greedy with tree-based cross-round result reuse. */
+  def gas(spark: SparkSession, g: CompactGraph, b: Int): Result =
+    select(spark, g, b)(new Reuse(spark, g, _))
+
+  /** Route sizes of every edge in round one (Table IV / the Tur baseline):
+    * computed Spark-parallel over the broadcast graph.
+    */
+  def routeSizes(spark: SparkSession, g: CompactGraph): Array[Int] =
+    Using.resource(new Sweep(spark, g)) { sweep =>
+      import spark.implicits._
+      val out = new Array[Int](g.m)
+      sweep.run(LocalTruss.decompose(g), 0 until g.m) { (graph, dec) =>
+        val finder = new FollowerFinder(graph)
+        e => (e, finder.find(dec.truss, dec.layer, e).routeSize)
+      }.foreach { case (e, s) => out(e) = s }
+      out
+    }
+
+  /** A round's scores: `gain(e)` for every candidate `e`, and how many
+    * candidates were evaluated on Spark vs fully reused from a cache.
+    */
+  private final case class Scored(gain: Array[Long], evaluated: Int, reusedFully: Int)
+
+  /** How one greedy variant scores a round's candidates. */
+  private trait Scorer {
+    def score(anchors: Array[Boolean], candidates: IndexedSeq[Int]): Scored
+
+    /** Called once `x` has been added to `anchors`. */
+    def anchored(x: Int, anchors: Array[Boolean]): Unit = ()
+  }
+
+  /** The greedy loop: each round scores the non-anchored edges and anchors
+    * the best one (max gain, then smallest edge id).
+    */
+  private def select(spark: SparkSession, g: CompactGraph, b: Int)(scorer: Sweep => Scorer): Result =
+    Using.resource(new Sweep(spark, g)) { sweep =>
+      val s = scorer(sweep)
+      val anchors = new Array[Boolean](g.m)
+      val rounds = mutable.ArrayBuffer.empty[RoundStats]
+      for (round <- 1 to math.min(b, g.m)) {
+        val t0 = System.nanoTime()
+        val candidates = (0 until g.m).filter(!anchors(_))
+        val scored = s.score(anchors, candidates)
+        val best = candidates.minBy(e => (-scored.gain(e), e))
+        anchors(best) = true
+        s.anchored(best, anchors)
+        rounds += RoundStats(round, best, scored.gain(best), scored.evaluated, scored.reusedFully,
+                             (System.nanoTime() - t0) / 1000000)
+      }
+      Result(rounds.map(_.anchor).toSeq, finalGain(g, anchors), rounds.toSeq)
+    }
+
   /** Exact TG(A, G) for a finished anchor mask. */
   private def finalGain(g: CompactGraph, anchors: Array[Boolean]): Long =
     LocalTruss.trussGain(g, LocalTruss.decompose(g), anchors)
 
-  // ---------------------------------------------------------------- BASE
-
-  /** Algorithm 2: full truss decomposition per candidate per round. */
-  def base(spark: SparkSession, g: CompactGraph, b: Int): Result = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val anchors = new Array[Boolean](g.m)
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val rounds = mutable.ArrayBuffer.empty[RoundStats]
-    var gain = 0L
-    for (round <- 1 to math.min(b, g.m)) {
-      val t0 = System.nanoTime()
-      val curDec = LocalTruss.decompose(g, anchors)
-      val curB = sc.broadcast(curDec)
-      val anchorsB = sc.broadcast(anchors.clone())
-      val candidates = (0 until g.m).filter(!anchors(_))
-      val gains = spark.createDataset(candidates)
-        .repartition(sc.defaultParallelism)
-        .mapPartitions { it =>
-          val graph = gB.value
-          val baseDec = curB.value
-          it.map { e =>
-            val mask = anchorsB.value.clone(); mask(e) = true
-            (e, LocalTruss.trussGain(graph, baseDec, mask))
-          }
-        }
-        .collect()
-      val (bestE, bestGain) = gains.minBy { case (e, gl) => (-gl, e) }
-      anchors(bestE) = true
-      picked += bestE
-      gain += bestGain
-      rounds += RoundStats(round, bestE, bestGain, candidates.size, 0,
-                           (System.nanoTime() - t0) / 1000000)
-      curB.destroy(); anchorsB.destroy()
+  /** BASE and BASE+: decompose, then sweep every candidate. `kernel` sets a
+    * task up from the graph, the round's decomposition and its anchor mask,
+    * and returns the gain of anchoring one more edge.
+    */
+  private def sweepAll(spark: SparkSession, g: CompactGraph,
+                       kernel: (CompactGraph, LocalTruss.Result, Array[Boolean]) => Int => Long)
+                      (sweep: Sweep): Scorer =
+    (anchors, candidates) => {
+      import spark.implicits._
+      val gain = new Array[Long](g.m)
+      sweep.run((LocalTruss.decompose(g, anchors), anchors.clone()), candidates) {
+        case (graph, (dec, mask)) =>
+          val f = kernel(graph, dec, mask)
+          e => (e, f(e))
+      }.foreach { case (e, v) => gain(e) = v }
+      Scored(gain, candidates.size, 0)
     }
-    Result(picked.toSeq, finalGain(g, anchors), rounds.toSeq)
-  }
 
-  // --------------------------------------------------------------- BASE+
-
-  /** BASE with upward-route/support-check follower computation (Alg. 3). */
-  def basePlus(spark: SparkSession, g: CompactGraph, b: Int): Result = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val anchors = new Array[Boolean](g.m)
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val rounds = mutable.ArrayBuffer.empty[RoundStats]
-    var gain = 0L
-    for (round <- 1 to math.min(b, g.m)) {
-      val t0 = System.nanoTime()
-      val dec = LocalTruss.decompose(g, anchors)
-      val trussB = sc.broadcast(dec.truss)
-      val layerB = sc.broadcast(dec.layer)
-      val candidates = (0 until g.m).filter(!anchors(_))
-      val counts = spark.createDataset(candidates)
-        .repartition(sc.defaultParallelism)
-        .mapPartitions { it =>
-          val finder = new FollowerFinder(gB.value)
-          val t = trussB.value; val l = layerB.value
-          it.map(e => (e, finder.find(t, l, e).count))
-        }
-        .collect()
-      val (bestE, bestGain) = counts.minBy { case (e, c) => (-c, e) }
-      anchors(bestE) = true
-      picked += bestE
-      gain += bestGain
-      rounds += RoundStats(round, bestE, bestGain, candidates.size, 0,
-                           (System.nanoTime() - t0) / 1000000)
-      trussB.destroy(); layerB.destroy()
-    }
-    Result(picked.toSeq, finalGain(g, anchors), rounds.toSeq)
-  }
-
-  // ----------------------------------------------------------------- GAS
-
-  /** Algorithm 6: greedy with tree-based cross-round result reuse. */
-  def gas(spark: SparkSession, g: CompactGraph, b: Int): Result = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val anchors = new Array[Boolean](g.m)
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val rounds = mutable.ArrayBuffer.empty[RoundStats]
-    var gain = 0L
-
-    var state = FollowerReuse.initial(g, anchors)
+  /** GAS: candidates whose cached per-node follower counts are all still
+    * valid are summed on the driver; the rest are swept, restricted to their
+    * stale nodes, and merged into the cache. Each pick refreshes the tree
+    * and invalidation info (Algorithm 5).
+    */
+  private final class Reuse(spark: SparkSession, g: CompactGraph, sweep: Sweep) extends Scorer {
+    private var state = FollowerReuse.initial(g, new Array[Boolean](g.m))
     // cache(e): node id -> follower count of e within that node; null when
     // the whole entry must be recomputed (round 1 or invalidated edge)
-    val cache = new Array[mutable.HashMap[Int, Int]](g.m)
-    var staleNodes: Set[Int] = Set.empty // nodes invalidated by last anchor
+    private val cache = new Array[mutable.HashMap[Int, Int]](g.m)
+    private var staleNodes: Set[Int] = Set.empty // nodes invalidated by last anchor
 
-    for (round <- 1 to math.min(b, g.m)) {
-      val t0 = System.nanoTime()
-      val candidates = (0 until g.m).filter(!anchors(_))
-      // split candidates into fully-reusable (driver sum) and stale (Spark)
+    def score(anchors: Array[Boolean], candidates: IndexedSeq[Int]): Scored = {
+      import spark.implicits._
       val toCompute = mutable.ArrayBuffer.empty[(Int, Array[Int])] // (e, staleIds or null=full)
       val totals = new Array[Long](g.m)
       var reusedFully = 0
       candidates.foreach { e =>
         val c = cache(e)
-        if (round == 1 || c == null) toCompute += ((e, null))
+        if (c == null) toCompute += ((e, null))
         else {
           val staleIds = state.sla(e).filter(id => staleNodes.contains(id) || !c.contains(id))
           if (staleIds.isEmpty) {
@@ -156,77 +158,39 @@ object Greedy {
           } else toCompute += ((e, staleIds))
         }
       }
-      if (toCompute.nonEmpty) {
-        val trussB = sc.broadcast(state.truss)
-        val layerB = sc.broadcast(state.layer)
-        val nodeOfB = sc.broadcast(state.tree.nodeOf)
-        val fresh = spark.createDataset(toCompute.toSeq)
-          .repartition(sc.defaultParallelism)
-          .mapPartitions { it =>
-            val finder = new FollowerFinder(gB.value)
-            val t = trussB.value; val l = layerB.value; val nodeOf = nodeOfB.value
-            it.map { case (e, staleIds) =>
-              val allow: Int => Boolean =
-                if (staleIds == null) null
-                else { val s = staleIds.toSet; s.contains }
-              val r = finder.find(t, l, e, nodeOf, allow)
-              (e, r.perNode.toSeq)
-            }
+      val fresh = sweep.run((state.truss, state.layer, state.tree.nodeOf), toCompute.toSeq) {
+        case (graph, (t, l, nodeOf)) =>
+          val finder = new FollowerFinder(graph)
+          item => {
+            val (e, staleIds) = item
+            val allow: Int => Boolean =
+              if (staleIds == null) null
+              else { val s = staleIds.toSet; s.contains }
+            (e, finder.find(t, l, e, nodeOf, allow).perNode.toSeq)
           }
-          .collect()
-        val staleOf = toCompute.iterator.map { case (e, ids) => e -> ids }.toMap
-        fresh.foreach { case (e, perNode) =>
-          val freshMap = perNode.toMap
-          val old = cache(e)
-          val merged = mutable.HashMap.empty[Int, Int]
-          val staleIds = staleOf(e)
-          state.sla(e).foreach { id =>
-            val stale = staleIds == null || staleIds.contains(id)
-            merged(id) = if (stale) freshMap.getOrElse(id, 0)
-                         else old(id)
-          }
-          cache(e) = merged
-          totals(e) = merged.valuesIterator.map(_.toLong).sum
-        }
-        trussB.destroy(); layerB.destroy(); nodeOfB.destroy()
       }
-      val bestE = candidates.minBy(e => (-totals(e), e))
-      val bestGain = totals(bestE)
-      anchors(bestE) = true
-      picked += bestE
-      gain += bestGain
-      // refresh the tree/decomposition and invalidation info (Algorithm 5)
-      val refresh = FollowerReuse.refresh(g, state, bestE, anchors)
+      val staleOf = toCompute.toMap
+      fresh.foreach { case (e, perNode) =>
+        val freshMap = perNode.toMap
+        val old = cache(e)
+        val merged = mutable.HashMap.empty[Int, Int]
+        val staleIds = staleOf(e)
+        state.sla(e).foreach { id =>
+          val stale = staleIds == null || staleIds.contains(id)
+          merged(id) = if (stale) freshMap.getOrElse(id, 0) else old(id)
+        }
+        cache(e) = merged
+        totals(e) = merged.valuesIterator.map(_.toLong).sum
+      }
+      Scored(totals, toCompute.size, reusedFully)
+    }
+
+    override def anchored(x: Int, anchors: Array[Boolean]): Unit = {
+      val refresh = FollowerReuse.refresh(g, state, x, anchors)
       state = refresh.state
       staleNodes = refresh.staleNodes
       refresh.invalidatedEdges.foreach(e => cache(e) = null)
-      cache(bestE) = null
-      rounds += RoundStats(round, bestE, bestGain, toCompute.size, reusedFully,
-                           (System.nanoTime() - t0) / 1000000)
+      cache(x) = null
     }
-    Result(picked.toSeq, finalGain(g, anchors), rounds.toSeq)
-  }
-
-  /** Route sizes of every edge in round one (Table IV / the Tur baseline):
-    * computed Spark-parallel over the broadcast graph.
-    */
-  def routeSizes(spark: SparkSession, g: CompactGraph): Array[Int] = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val dec = LocalTruss.decompose(g)
-    val trussB = sc.broadcast(dec.truss)
-    val layerB = sc.broadcast(dec.layer)
-    val res = spark.createDataset(0 until g.m)
-      .repartition(sc.defaultParallelism)
-      .mapPartitions { it =>
-        val finder = new FollowerFinder(gB.value)
-        val t = trussB.value; val l = layerB.value
-        it.map(e => (e, finder.find(t, l, e).routeSize))
-      }
-      .collect()
-    val out = new Array[Int](g.m)
-    res.foreach { case (e, s) => out(e) = s }
-    out
   }
 }

@@ -2,6 +2,7 @@ package repro.truss
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.graph.GraphOps
 import scala.collection.mutable.ArrayBuffer
 
 /** Distributed truss decomposition as iterative DataFrame dataflow.
@@ -37,7 +38,7 @@ object SparkTruss {
       var sweep = 0
       var progressed = true
       while (progressed) {
-        val supported = supportOf(alive)
+        val supported = GraphOps.support(alive).select("edgeId", "support")
         val toRemove = supported
           .where($"support" <= k - 2 && !isAnchor($"edgeId"))
           .select("edgeId")
@@ -59,20 +60,5 @@ object SparkTruss {
     val anchorRows = alive.select("edgeId").as[Int].collect()
       .map(id => (id, Int.MaxValue, 0))
     (removed ++ anchorRows).toSeq.toDF("edgeId", "truss", "layer")
-  }
-
-  /** Per-edge support of the current alive set (edgeId, support). */
-  private def supportOf(alive: DataFrame): DataFrame = {
-    val e1 = alive.select(col("src").as("a"), col("dst").as("b"))
-    val e2 = alive.select(col("src").as("b"), col("dst").as("c"))
-    val e3 = alive.select(col("src").as("a"), col("dst").as("c"))
-    val tris = e1.join(e2, "b").join(e3, Seq("a", "c")).select("a", "b", "c")
-    val sides = tris.select(col("a").as("src"), col("b").as("dst"))
-      .unionAll(tris.select(col("b").as("src"), col("c").as("dst")))
-      .unionAll(tris.select(col("a").as("src"), col("c").as("dst")))
-    val counts = sides.groupBy("src", "dst").agg(count(lit(1)).as("cnt"))
-    alive
-      .join(counts, Seq("src", "dst"), "left")
-      .select(col("edgeId"), coalesce(col("cnt"), lit(0L)).as("support"))
   }
 }

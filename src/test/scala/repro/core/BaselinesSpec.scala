@@ -41,6 +41,15 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  test("zero trials is rejected with a message naming the argument") {
+    val g = TestGraphs.random(12, 30, 7)
+    for (run <- Seq[() => Long](() => Baselines.rand(spark, g, 2, 0), () => Baselines.sup(spark, g, 2, 0),
+                                () => Baselines.tur(spark, g, 2, 0))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("trials"), e.getMessage)
+    }
+  }
+
   test("clique graphs: all baselines report zero gain") {
     val g = TestGraphs.clique(6)
     assert(Baselines.rand(spark, g, 2, 5) == 0)

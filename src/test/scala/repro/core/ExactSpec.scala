@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.GraphGen
+import repro.truss.LocalTruss
 
 /** The exhaustive Exact algorithm and the Exp-2 comparison: GAS achieves at
   * least 90% of the optimum on extracted subgraphs with small budgets.
@@ -24,7 +25,20 @@ class ExactSpec extends SparkSpec {
       val ex = Exact.run(spark, g, 2)
       val gas = Greedy.gas(spark, g, 2)
       assert(ex.gain >= gas.gain)
+      assert(LocalTruss.trussGain(g, LocalTruss.decompose(g), LocalTruss.anchorMask(g.m, ex.anchors)) == ex.gain)
     }
+  }
+
+  test("Exact equals GAS at b = 0, b = m and b > m; negative b is rejected") {
+    for (g <- Seq(TestGraphs.clique(4), TestGraphs.random(7, 12, 5))) {
+      for (b <- Seq(0, g.m, g.m + 2)) {
+        val ex = Exact.run(spark, g, b)
+        val gas = Greedy.gas(spark, g, b)
+        assert(ex.gain == gas.gain, s"m=${g.m} b=$b exact=${ex.gain} gas=${gas.gain}")
+        assert(ex.anchors.size == math.min(b, g.m), s"m=${g.m} b=$b")
+      }
+    }
+    intercept[IllegalArgumentException](Exact.run(spark, TestGraphs.clique(4), -1))
   }
 
   test("Exp-2: GAS approaches Exact on extracted 150-250 edge subgraphs") {
