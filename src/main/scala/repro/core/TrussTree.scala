@@ -21,8 +21,8 @@ import scala.collection.mutable
   * connectivity over the full edge set, which ignores trussness) never
   * change when an edge is anchored: anchoring only moves the edge from
   * member to connector, leaving every union intact. Only the top components
-  * containing an edge whose trussness/anchor status changed are re-peeled;
-  * all other nodes are carried over verbatim.
+  * containing an edge whose trussness/anchor status changed go through the
+  * construction pass again; all other nodes are carried over verbatim.
   */
 final class TrussTree(
     val nodes: Map[Int, TrussTree.Node],
@@ -41,9 +41,6 @@ final class TrussTree(
     }
     buf.toArray
   }
-
-  /** Root-node ids (parent == -1). */
-  def roots: Iterable[Int] = nodes.values.filter(_.parent == -1).map(_.id)
 
   /** Top-level root id owning edge `e` (-1 for anchors). */
   def rootOf(e: Int): Int = {
@@ -68,10 +65,8 @@ object TrussTree {
     * `truss(e) == Int.MaxValue`.
     */
   def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
-    val builder = new Builder(g, truss)
-    val top = (0 until g.m).filter(truss(_) != Int.MaxValue).toArray
     val nodeOf = Array.fill(g.m)(-1)
-    val nodes = builder.buildInto(top, -1, nodeOf)
+    val nodes = new Pass(g, truss, nodeOf).run(Array.range(0, g.m).filter(truss(_) != Int.MaxValue))
     new TrussTree(nodes, nodeOf)
   }
 
@@ -89,9 +84,7 @@ object TrussTree {
     }
     val nodeOf = prev.nodeOf.clone()
     affectedEdges.foreach(nodeOf(_) = -1)
-    val builder = new Builder(g, truss)
-    val subset = affectedEdges.filter(truss(_) != Int.MaxValue)
-    val rebuilt = builder.buildInto(subset, -1, nodeOf)
+    val rebuilt = new Pass(g, truss, nodeOf).run(affectedEdges.filter(truss(_) != Int.MaxValue))
     new TrussTree(keepNodes ++ rebuilt, nodeOf)
   }
 
@@ -101,11 +94,30 @@ object TrussTree {
     cur
   }
 
-  /** Recursive component peeling shared by build and rebuild. */
-  private final class Builder(g: CompactGraph, truss: Array[Int]) {
-    private val inCur = new Array[Boolean](g.m)
-    private val uf = new Array[Int](g.m)
-    private val anchorIds = (0 until g.m).filter(truss(_) == Int.MaxValue).toArray
+  /** The construction pass shared by build and rebuild: Algorithm 4 as one
+    * union-find sweep over the `subset` edges in descending trussness.
+    *
+    * An edge joins the union-find when its level is reached and is unioned
+    * with the two co-edges of every triangle whose other edges are already
+    * in, so each triangle is joined once. After level k the classes are the
+    * triangle-connected components of the edges of trussness >= k and the
+    * anchors, and each class that gained level-k edges becomes one node:
+    * id = its smallest level-k edge, children = the class's previous top
+    * nodes (the components of the levels above that it absorbed). Anchors are in from the start; the first triangle to reach
+    * one also brings in every anchor joined to it by anchor-only triangles,
+    * because three anchors can be the only link between two components.
+    * Fills `nodeOf` for `subset` and returns the created nodes.
+    */
+  private final class Pass(g: CompactGraph, truss: Array[Int], nodeOf: Array[Int]) {
+    /** union-find parent per edge; -1 while the edge is not in */
+    private val uf = Array.fill(g.m)(-1)
+    /** top nodes of each class, as a linked list: first and last node id
+      * per root, next node id per node (-1 ends the list)
+      */
+    private val topFirst = Array.fill(g.m)(-1)
+    private val topLast = new Array[Int](g.m)
+    private val topNext = new Array[Int](g.m)
+    private val made = mutable.HashMap.empty[Int, Node]
 
     private def find(e: Int): Int = {
       var r = e
@@ -114,49 +126,84 @@ object TrussTree {
       while (uf(c) != r) { val nxt = uf(c); uf(c) = r; c = nxt }
       r
     }
+
     private def union(a: Int, b: Int): Unit = {
       val ra = find(a); val rb = find(b)
-      if (ra != rb) uf(if (ra < rb) rb else ra) = if (ra < rb) ra else rb
-    }
-
-    /** Partition `subset ∪ anchors` into triangle-connected groups; return
-      * the groups of non-anchor edges.
-      */
-    private def components(subset: Array[Int]): Iterable[Array[Int]] = {
-      val all = subset ++ anchorIds
-      all.foreach { e => inCur(e) = true; uf(e) = e }
-      all.foreach { e =>
-        g.foreachTriangle(e) { (a, b) =>
-          if (inCur(a) && inCur(b)) { union(e, a); union(e, b) }
+      if (ra != rb) {
+        val r = math.min(ra, rb); val c = math.max(ra, rb)
+        uf(c) = r
+        if (topFirst(c) != -1) {
+          if (topFirst(r) == -1) topFirst(r) = topFirst(c) else topNext(topLast(r)) = topFirst(c)
+          topLast(r) = topLast(c)
         }
       }
-      val groups = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-      subset.foreach(e => groups.getOrElseUpdate(find(e), mutable.ArrayBuffer.empty) += e)
-      all.foreach(e => inCur(e) = false)
-      groups.values.map(_.toArray)
     }
 
-    /** Peel `subset` (Algorithm 4) attaching to `parent`; fills `nodeOf`
-      * and returns the created nodes.
+    private def isIn(e: Int): Boolean = {
+      if (uf(e) == -1 && truss(e) == Int.MaxValue) addAnchors(e)
+      uf(e) != -1
+    }
+
+    /** Bring in anchor `x` and every anchor joined to it by anchor-only
+      * triangles.
       */
-    def buildInto(subset: Array[Int], parent: Int, nodeOf: Array[Int]): Map[Int, Node] = {
-      val out = mutable.HashMap.empty[Int, (Int, Array[Int], Int, mutable.ArrayBuffer[Int])]
-      def go(sub: Array[Int], par: Int): Unit = {
-        for (comp <- components(sub)) {
-          var kMin = Int.MaxValue
-          comp.foreach(e => if (truss(e) < kMin) kMin = truss(e))
-          val (hull, rest) = comp.partition(truss(_) == kMin)
-          val id = hull.min
-          out(id) = (kMin, hull, par, mutable.ArrayBuffer.empty)
-          hull.foreach(nodeOf(_) = id)
-          if (par != -1 && out.contains(par)) out(par)._4 += id
-          if (rest.nonEmpty) go(rest, id)
+    private def addAnchors(x: Int): Unit = {
+      uf(x) = x
+      val todo = mutable.Stack(x)
+      while (todo.nonEmpty) {
+        val a = todo.pop()
+        g.foreachTriangle(a) { (p, q) =>
+          if (truss(p) == Int.MaxValue && truss(q) == Int.MaxValue) {
+            if (uf(p) == -1) { uf(p) = p; todo.push(p) }
+            if (uf(q) == -1) { uf(q) = q; todo.push(q) }
+            union(a, p); union(a, q)
+          }
         }
       }
-      if (subset.nonEmpty) go(subset, parent)
-      out.iterator.map { case (id, (k, edges, par, children)) =>
-        id -> Node(id, k, edges, par, children.toArray)
-      }.toMap
+    }
+
+    private def add(e: Int): Unit = {
+      uf(e) = e
+      g.foreachTriangle(e) { (a, b) =>
+        if (isIn(a) && isIn(b)) { union(e, a); union(e, b) }
+      }
+    }
+
+    /** Turn each class holding some of `level` (ascending edge ids, all of
+      * trussness k) into a node over its previous tops.
+      */
+    private def close(k: Int, level: Array[Int]): Unit = {
+      val groups = mutable.HashMap.empty[Int, mutable.ArrayBuilder.ofInt]
+      level.foreach(e => groups.getOrElseUpdate(find(e), new mutable.ArrayBuilder.ofInt) += e)
+      groups.foreach { case (r, members) =>
+        val edges = members.result()
+        val id = edges(0)
+        edges.foreach(nodeOf(_) = id)
+        val children = mutable.ArrayBuilder.make[Int]
+        var c = topFirst(r)
+        while (c != -1) {
+          made(c) = made(c).copy(parent = id)
+          children += c
+          c = topNext(c)
+        }
+        made(id) = Node(id, k, edges, -1, children.result().sorted)
+        topFirst(r) = id; topLast(r) = id; topNext(id) = -1
+      }
+    }
+
+    def run(subset: Array[Int]): Map[Int, Node] = {
+      var kMax = 0
+      subset.foreach(e => kMax = math.max(kMax, truss(e)))
+      val byK = Array.fill(kMax + 1)(mutable.ArrayBuilder.make[Int])
+      subset.sorted.foreach(e => byK(truss(e)) += e)
+      for (k <- kMax to 0 by -1) {
+        val level = byK(k).result()
+        if (level.nonEmpty) {
+          level.foreach(add)
+          close(k, level)
+        }
+      }
+      made.toMap
     }
   }
 

@@ -68,13 +68,16 @@ final class CompactGraph(
 object CompactGraph {
 
   /** Build from a raw (possibly duplicated / self-looped / unordered) edge
-    * list. Vertex ids are kept as given (must be >= 0); the vertex count is
-    * `maxId + 1`. Edge ids are assigned in sorted (u,v) order so they are
-    * deterministic for a given edge set.
+    * list. Vertex ids are kept as given and must be >= 0 (a negative id is
+    * rejected); the vertex count is `maxId + 1`. Edge ids are assigned in
+    * sorted (u,v) order so they are deterministic for a given edge set.
     */
   def fromEdges(raw: Iterable[(Int, Int)]): CompactGraph = {
     val canon = raw.iterator
-      .filter { case (a, b) => a != b }
+      .filter { case (a, b) =>
+        require(a >= 0 && b >= 0, s"negative vertex id ${math.min(a, b)} in edge ($a, $b)")
+        a != b
+      }
       .map { case (a, b) => if (a < b) (a, b) else (b, a) }
       .toArray
       .distinct

@@ -1,0 +1,76 @@
+package repro.core
+
+import repro.graph.CompactGraph
+import scala.collection.mutable
+
+/** Reference implementation of [[TrussTree.build]] for the property tests:
+  * Algorithm 4 as written, peeling recursively. At every level it splits
+  * the current edges into triangle-connected components (all anchors take
+  * part at every level), makes each component's lowest-trussness edges one
+  * node and recurses into the rest.
+  */
+object RecursiveTrussTree {
+
+  def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
+    val top = (0 until g.m).filter(truss(_) != Int.MaxValue).toArray
+    val nodeOf = Array.fill(g.m)(-1)
+    val nodes = new Builder(g, truss).buildInto(top, nodeOf)
+    new TrussTree(nodes, nodeOf)
+  }
+
+  private final class Builder(g: CompactGraph, truss: Array[Int]) {
+    private val inCur = new Array[Boolean](g.m)
+    private val uf = new Array[Int](g.m)
+    private val anchorIds = (0 until g.m).filter(truss(_) == Int.MaxValue).toArray
+
+    private def find(e: Int): Int = {
+      var r = e
+      while (uf(r) != r) r = uf(r)
+      var c = e
+      while (uf(c) != r) { val nxt = uf(c); uf(c) = r; c = nxt }
+      r
+    }
+    private def union(a: Int, b: Int): Unit = {
+      val ra = find(a); val rb = find(b)
+      if (ra != rb) uf(if (ra < rb) rb else ra) = if (ra < rb) ra else rb
+    }
+
+    /** Partition `subset ∪ anchors` into triangle-connected groups; return
+      * the groups of non-anchor edges.
+      */
+    private def components(subset: Array[Int]): Iterable[Array[Int]] = {
+      val all = subset ++ anchorIds
+      all.foreach { e => inCur(e) = true; uf(e) = e }
+      all.foreach { e =>
+        g.foreachTriangle(e) { (a, b) =>
+          if (inCur(a) && inCur(b)) { union(e, a); union(e, b) }
+        }
+      }
+      val groups = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+      subset.foreach(e => groups.getOrElseUpdate(find(e), mutable.ArrayBuffer.empty) += e)
+      all.foreach(e => inCur(e) = false)
+      groups.values.map(_.toArray)
+    }
+
+    /** Peel `subset` into root nodes and their subtrees; fills `nodeOf`. */
+    def buildInto(subset: Array[Int], nodeOf: Array[Int]): Map[Int, TrussTree.Node] = {
+      val out = mutable.HashMap.empty[Int, (Int, Array[Int], Int, mutable.ArrayBuffer[Int])]
+      def go(sub: Array[Int], par: Int): Unit = {
+        for (comp <- components(sub)) {
+          var kMin = Int.MaxValue
+          comp.foreach(e => if (truss(e) < kMin) kMin = truss(e))
+          val (hull, rest) = comp.partition(truss(_) == kMin)
+          val id = hull.min
+          out(id) = (kMin, hull, par, mutable.ArrayBuffer.empty)
+          hull.foreach(nodeOf(_) = id)
+          if (par != -1) out(par)._4 += id
+          if (rest.nonEmpty) go(rest, id)
+        }
+      }
+      if (subset.nonEmpty) go(subset, -1)
+      out.iterator.map { case (id, (k, edges, par, children)) =>
+        id -> TrussTree.Node(id, k, edges, par, children.toArray)
+      }.toMap
+    }
+  }
+}

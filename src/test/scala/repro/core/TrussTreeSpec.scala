@@ -3,17 +3,53 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.truss.LocalTruss
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, GraphGen}
+import scala.util.Random
 
 /** Structural invariants of the truss component tree (Algorithm 4):
   * partition of edges, uniform trussness per node, parent-child K ordering,
-  * subtree = k-truss component, stable smallest-edge-id node ids.
+  * subtree = k-truss component, stable smallest-edge-id node ids; and node
+  * for node equality of the one-pass build and of chains of partial
+  * rebuilds with the recursive reference [[RecursiveTrussTree]].
   */
 class TrussTreeSpec extends AnyFunSuite {
 
   private def buildFor(g: CompactGraph, anchors: Array[Boolean] = null) = {
     val dec = LocalTruss.decompose(g, anchors)
     (dec, TrussTree.build(g, dec.truss))
+  }
+
+  /** Node for node: same nodeOf, ids, k, parents, edge sets and child sets. */
+  private def assertSameTree(got: TrussTree, want: TrussTree, clue: String): Unit = {
+    assert(got.nodeOf.sameElements(want.nodeOf), clue)
+    assert(got.nodes.keySet == want.nodes.keySet, clue)
+    got.nodes.foreach { case (id, n) =>
+      val w = want.nodes(id)
+      assert(n.id == id && n.k == w.k && n.parent == w.parent, s"$clue node=$id")
+      assert(n.edges.sorted.sameElements(w.edges.sorted), s"$clue node=$id")
+      assert(n.children.sorted.sameElements(w.children.sorted), s"$clue node=$id")
+    }
+  }
+
+  /** Anchor `xs` one at a time, rebuilding each tree from the previous
+    * rebuilt one with the dirty set `FollowerReuse.refresh` uses, and check
+    * every step against a from-scratch build and the recursive reference.
+    */
+  private def assertRebuildChain(g: CompactGraph, xs: Seq[Int], clue: String): Unit = {
+    val anchors = new Array[Boolean](g.m)
+    var dec = LocalTruss.decompose(g)
+    var tree = TrussTree.build(g, dec.truss)
+    assertSameTree(tree, RecursiveTrussTree.build(g, dec.truss), s"$clue unanchored")
+    xs.foreach { x =>
+      anchors(x) = true
+      val next = LocalTruss.decompose(g, anchors)
+      val dirty = (0 until g.m).filter(e =>
+        next.truss(e) != dec.truss(e) || next.layer(e) != dec.layer(e)) :+ x
+      tree = TrussTree.rebuild(g, next.truss, tree, dirty)
+      dec = next
+      assertSameTree(tree, TrussTree.build(g, dec.truss), s"$clue after $x: rebuild vs build")
+      assertSameTree(tree, RecursiveTrussTree.build(g, dec.truss), s"$clue after $x: vs reference")
+    }
   }
 
   test("every non-anchor edge is in exactly one node; anchors in none") {
@@ -140,26 +176,40 @@ class TrussTreeSpec extends AnyFunSuite {
   }
 
   test("partial rebuild after anchoring equals a from-scratch build") {
+    // a chain of five anchors; each rebuild starts from the previous rebuilt tree
     for (seed <- 1 to 12) {
       val g = TestGraphs.random(13, 48, seed * 23 + 8)
-      val dec0 = LocalTruss.decompose(g)
-      val t0 = TrussTree.build(g, dec0.truss)
-      val x = (seed * 5) % g.m
-      val anchors = LocalTruss.anchorMask(g.m, Seq(x))
-      val dec1 = LocalTruss.decompose(g, anchors)
-      val dirty = (0 until g.m).filter(e =>
-        dec1.truss(e) != dec0.truss(e) || dec1.layer(e) != dec0.layer(e)) :+ x
-      val partial = TrussTree.rebuild(g, dec1.truss, t0, dirty)
-      val scratch = TrussTree.build(g, dec1.truss)
-      assert(partial.nodeOf.sameElements(scratch.nodeOf), s"seed=$seed")
-      assert(partial.nodes.keySet == scratch.nodes.keySet)
-      partial.nodes.foreach { case (id, n) =>
-        val s = scratch.nodes(id)
-        assert(n.k == s.k && n.parent == s.parent)
-        assert(n.edges.sorted.sameElements(s.edges.sorted))
-        assert(n.children.sorted.sameElements(s.children.sorted))
-      }
+      val xs = new Random(seed).shuffle((0 until g.m).toList).take(5)
+      assertRebuildChain(g, xs, s"seed=$seed")
     }
+  }
+
+  test("the one-pass build equals the recursive reference on random graphs with 0-7 anchors") {
+    for (seed <- 1 to 300) {
+      val rnd = new Random(seed)
+      val g = TestGraphs.random(10 + rnd.nextInt(8), 30 + rnd.nextInt(30), seed * 29 + 9)
+      val xs = rnd.shuffle((0 until g.m).toList).take(rnd.nextInt(8))
+      val dec = LocalTruss.decompose(g, LocalTruss.anchorMask(g.m, xs))
+      assertSameTree(TrussTree.build(g, dec.truss), RecursiveTrussTree.build(g, dec.truss),
+                     s"seed=$seed anchors=$xs")
+    }
+  }
+
+  test("the one-pass build equals the recursive reference on college with anchors") {
+    val g = GraphGen.graph("college")
+    for (seed <- 1 to 3) {
+      val xs = new Random(seed).shuffle((0 until g.m).toList).take(seed * 2)
+      val dec = LocalTruss.decompose(g, LocalTruss.anchorMask(g.m, xs))
+      assertSameTree(TrussTree.build(g, dec.truss), RecursiveTrussTree.build(g, dec.truss),
+                     s"anchors=$xs")
+    }
+  }
+
+  test("builds and rebuilds equal the recursive reference on facebook, anchoring its top-support edges") {
+    // one top component holds most of the edges, so every rebuild redoes it
+    val g = GraphGen.graph("facebook")
+    val xs = (0 until g.m).sortBy(e => (-g.support(e), e)).take(5)
+    assertRebuildChain(g, xs, "facebook")
   }
 
   test("node ids are stable across rebuilds when nothing changes") {
@@ -189,19 +239,47 @@ class TrussTreeSpec extends AnyFunSuite {
   }
 
   test("anchors merge components at every level") {
-    // two disjoint triangles bridged by a shared edge path through an anchor:
-    // triangles {0,1,2} and {3,4,5}, plus bridge edge (2,3) sharing a
-    // triangle with both via vertices 1 and 4: add (1,3) and (2,4)
+    // the triangles {0,1,2}, {1,2,3}, {2,3,4}, {3,4,5} form a chain through
+    // edges (1,2), (2,3), (3,4): one 3-truss component of all 9 edges
     val g = CompactGraph.fromEdges(Seq(
       (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (1, 3), (2, 4)))
-    // without anchors the two triangles are separate 3-truss components
-    val dec0 = LocalTruss.decompose(g)
-    val t0 = TrussTree.build(g, dec0.truss)
-    // anchoring bridge edges merges connectivity; just assert build succeeds
-    val anchors = LocalTruss.anchorMask(g.m, Seq(repro.TestGraphs.edgeId(g, 2, 3)))
-    val dec1 = LocalTruss.decompose(g, anchors)
-    val t1 = TrussTree.build(g, dec1.truss)
-    assert(t0.nodes.nonEmpty && t1.nodes.nonEmpty)
-    assert(t1.nodeOf(repro.TestGraphs.edgeId(g, 2, 3)) == -1)
+    val (dec0, t0) = buildFor(g)
+    assert(t0.nodes.values.map(n => (n.k, n.edges.toSet, n.parent)).toSet ==
+           Set((3, (0 until g.m).toSet, -1)))
+    // anchoring the middle edge (2,3) keeps one node: the anchor still joins
+    // {1,2,3} and {2,3,4}
+    val x = TestGraphs.edgeId(g, 2, 3)
+    val (dec1, t1) = buildFor(g, LocalTruss.anchorMask(g.m, Seq(x)))
+    assert(t1.nodes.values.map(n => (n.k, n.edges.toSet, n.parent)).toSet ==
+           Set((3, (0 until g.m).toSet - x, -1)))
+    assert(t1.nodeOf(x) == -1)
+    assertSameTree(t0, RecursiveTrussTree.build(g, dec0.truss), "unanchored")
+    assertSameTree(t1, RecursiveTrussTree.build(g, dec1.truss), "anchored")
+  }
+
+  test("two cliques joined only through a triangle of three anchors form one node") {
+    // K4s on {0,1,2,3} and {4,5,6,7}; vertex 8 closes the triangles
+    // {0,1,8} and {4,5,8}, and {1,4,8} links them. With (0,8), (1,8),
+    // (4,8), (5,8) and (1,4) anchored, the only path from one clique to the
+    // other runs through {1,4,8}, whose three edges are all anchors.
+    def k4(vs: Int*) = for (i <- vs.indices; j <- (i + 1) until vs.length) yield (vs(i), vs(j))
+    val connectors = Seq((0, 8), (1, 8), (4, 8), (5, 8), (1, 4))
+    val g = CompactGraph.fromEdges(k4(0, 1, 2, 3) ++ k4(4, 5, 6, 7) ++ connectors)
+    val cliqueEdges = (k4(0, 1, 2, 3) ++ k4(4, 5, 6, 7)).map { case (u, v) => TestGraphs.edgeId(g, u, v) }
+    val connectorEdges = connectors.map { case (u, v) => TestGraphs.edgeId(g, u, v) }
+    val left = cliqueEdges.take(6).toSet; val right = cliqueEdges.drop(6).toSet
+
+    // unanchored: the connectors form a 3-level node over the two K4 nodes
+    val (dec0, t0) = buildFor(g)
+    val root = connectorEdges.min
+    assert(t0.nodes.values.map(n => (n.id, n.k, n.edges.toSet, n.parent)).toSet == Set(
+      (root, 3, connectorEdges.toSet, -1), (left.min, 4, left, root), (right.min, 4, right, root)))
+    assertSameTree(t0, RecursiveTrussTree.build(g, dec0.truss), "unanchored")
+
+    // anchored: one 4-level node holding both cliques
+    val (dec1, t1) = buildFor(g, LocalTruss.anchorMask(g.m, connectorEdges))
+    assert(t1.nodes.values.map(n => (n.id, n.k, n.edges.toSet, n.parent, n.children.length)).toSet ==
+           Set((left.min, 4, left ++ right, -1, 0)))
+    assertSameTree(t1, RecursiveTrussTree.build(g, dec1.truss), "anchored")
   }
 }

@@ -1,12 +1,15 @@
 package repro.graph
 
-import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
+import repro.core.{Greedy, TrussTree}
+import repro.truss.LocalTruss
 
-/** CSR construction invariants and triangle enumeration vs brute force. */
-class CompactGraphSpec extends AnyFunSuite {
+/** CSR construction invariants, triangle enumeration vs brute force, input
+  * validation, and the tree and GAS on degenerate graphs.
+  */
+class CompactGraphSpec extends SparkSpec {
 
   test("canonicalization: drops self-loops, duplicates and orients u < v") {
     val g = CompactGraph.fromEdges(Seq((1, 0), (0, 1), (2, 2), (1, 2), (2, 1)))
@@ -88,5 +91,29 @@ class CompactGraphSpec extends AnyFunSuite {
     assert(empty.m == 0 && empty.n == 0)
     val one = CompactGraph.fromEdges(Seq((0, 1)))
     assert(one.m == 1 && one.n == 2 && one.support(0) == 0)
+  }
+
+  test("a negative vertex id is rejected with a message naming it") {
+    val err = intercept[IllegalArgumentException](CompactGraph.fromEdges(Seq((-1, 2), (2, 3))))
+    assert(err.getMessage.contains("negative vertex id -1"), err.getMessage)
+  }
+
+  test("empty graph: no tree nodes, GAS anchors nothing and gains 0") {
+    val g = CompactGraph.fromEdges(Nil)
+    assert(TrussTree.build(g, LocalTruss.decompose(g).truss).nodes.isEmpty)
+    val r = Greedy.gas(spark, g, 3)
+    assert(r.anchors.isEmpty && r.gain == 0)
+  }
+
+  test("triangle-free path: GAS picks edges 0 and 1 by tie-break and gains 0") {
+    val g = CompactGraph.fromEdges(Seq((0, 1), (1, 2), (2, 3), (3, 4)))
+    val r = Greedy.gas(spark, g, 2)
+    assert(r.anchors == List(0, 1) && r.gain == 0)
+  }
+
+  test("triangle with every edge anchored: the tree has no nodes") {
+    val g = TestGraphs.clique(3)
+    val dec = LocalTruss.decompose(g, LocalTruss.anchorMask(g.m, 0 until g.m))
+    assert(TrussTree.build(g, dec.truss).nodes.isEmpty)
   }
 }
