@@ -27,29 +27,50 @@ object Baselines {
     Using.resource(new Sweep(spark, g)) { sweep =>
       sweep.run((LocalTruss.decompose(g), pool), 0 until trials) { case (graph, (base, pool)) =>
         trial =>
-          val rnd = new Random(seed * 1000003L + trial)
-          val picked = rnd.shuffle(pool.toVector).take(math.min(b, pool.length))
+          val picked = pick(pool, b, new Random(seed * 1000003L + trial))
           LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, picked))
       }.max
     }
   }
 
   def rand(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 7L): Long =
-    maxGainOverTrials(spark, g, (0 until g.m).toArray, b, trials, seed)
+    maxGainOverTrials(spark, g, Array.range(0, g.m), b, trials, seed)
 
   def sup(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 11L): Long =
-    maxGainOverTrials(spark, g, topFraction(g, (0 until g.m).map(g.support).toArray), b, trials, seed)
+    maxGainOverTrials(spark, g, topFraction(Array.tabulate(g.m)(g.support)), b, trials, seed)
 
   def tur(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 13L): Long = {
     val routes = Greedy.routeSizes(spark, g)
-    maxGainOverTrials(spark, g, topFraction(g, routes), b, trials, seed)
+    maxGainOverTrials(spark, g, topFraction(routes), b, trials, seed)
   }
 
-  /** Edge ids in the top 20% by `score` (at least b-sized pools in practice;
-    * ties broken by edge id for determinism).
+  /** The first min(b, pool.length) elements of
+    * `rnd.shuffle(pool.toVector)`: the same Fisher–Yates swaps, run on an
+    * unboxed copy of the pool.
     */
-  private def topFraction(g: CompactGraph, score: Array[Int], frac: Double = 0.2): Array[Int] = {
-    val k = math.max(1, (g.m * frac).toInt)
-    (0 until g.m).sortBy(e => (-score(e), e)).take(k).toArray
+  private[core] def pick(pool: Array[Int], b: Int, rnd: Random): Array[Int] = {
+    val buf = pool.clone()
+    var n = buf.length
+    while (n >= 2) {
+      val k = rnd.nextInt(n)
+      val t = buf(n - 1); buf(n - 1) = buf(k); buf(k) = t
+      n -= 1
+    }
+    java.util.Arrays.copyOf(buf, math.min(b, buf.length))
+  }
+
+  /** Edge ids in the top 20% by `score` (non-negative counts), ties broken
+    * by edge id for determinism: one sort of `(Int.MaxValue - score) << 32 | e`.
+    */
+  private[core] def topFraction(score: Array[Int], frac: Double = 0.2): Array[Int] = {
+    val m = score.length
+    val keys = new Array[Long](m)
+    var e = 0
+    while (e < m) { keys(e) = ((Int.MaxValue - score(e)).toLong << 32) | e; e += 1 }
+    java.util.Arrays.sort(keys)
+    val top = new Array[Int](math.min(m, math.max(1, (m * frac).toInt)))
+    var i = 0
+    while (i < top.length) { top(i) = keys(i).toInt; i += 1 }
+    top
   }
 }

@@ -6,12 +6,20 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
   *
   * Edges are canonical (`u < v`) and densely numbered `0 until m`; vertices
   * are densely numbered `0 until n`. For every vertex the neighbor list is
-  * sorted by neighbor id and carries the incident edge id, so triangle
-  * enumeration for an edge `(u,v)` is a linear merge-intersection of two
-  * sorted runs.
+  * sorted by neighbor id and carries the incident edge id.
+  *
+  * Triangles are read from a per-edge triangle index, built on first
+  * triangle access by one merge-intersection of the two sorted adjacency
+  * runs of every edge and kept for the life of the object. An edge's
+  * triangles are listed by ascending third vertex `w`; within a sorted run
+  * the edge ids ascend too, so each co-edge id is stored as a varint step
+  * from the previous triangle's: about 2.4 B per co-edge pair on the
+  * facebook stand-in, against 8 B as two ints.
   *
   * The structure is serializable and small (5 int arrays), so it is broadcast
-  * to executors for the bulk-parallel follower computations.
+  * to executors for the bulk-parallel follower computations. The triangle
+  * index is transient: it is not serialized, and a deserialized copy builds
+  * its own on first use.
   *
   * @param n      number of vertices
   * @param m      number of edges
@@ -37,28 +45,35 @@ final class CompactGraph(
   /** Endpoints of edge e as a pair (u, v) with u < v. */
   def endpoints(e: Int): (Int, Int) = (edgeU(e), edgeV(e))
 
+  @transient private lazy val triangles: CompactGraph.Triangles = CompactGraph.indexTriangles(this)
+
+  /** Triangle counts as offsets, length m+1: edge e has
+    * `triOff(e+1) - triOff(e)` triangles.
+    */
+  private[graph] def triOff: Array[Int] = triangles.off
+
   /** Visit every triangle containing edge `e`: for each common neighbor `w`
-    * of the endpoints, invoke `f(e1, e2)` with the ids of the two co-edges
-    * `(u,w)` and `(v,w)`. Runs in O(deg(u)+deg(v)).
+    * of the endpoints, in ascending order of `w`, invoke `f(e1, e2)` with the
+    * ids of the two co-edges `(u,w)` and `(v,w)`. Runs in O(sup(e)).
     */
   def foreachTriangle(e: Int)(f: (Int, Int) => Unit): Unit = {
-    val u = edgeU(e); val v = edgeV(e)
-    var i = adjOff(u); var j = adjOff(v)
-    val iEnd = adjOff(u + 1); val jEnd = adjOff(v + 1)
-    while (i < iEnd && j < jEnd) {
-      val a = adjV(i); val b = adjV(j)
-      if (a == b) { f(adjE(i), adjE(j)); i += 1; j += 1 }
-      else if (a < b) i += 1
-      else j += 1
+    val t = triangles
+    val code = t.code
+    var p = t.codeOff(e)
+    val end = t.codeOff(e + 1)
+    var e1 = 0
+    var e2 = 0
+    while (p < end) {
+      var b = 0; var s = 0
+      do { b = code(p); p += 1; e1 += (b & 0x7f) << s; s += 7 } while (b < 0)
+      s = 0
+      do { b = code(p); p += 1; e2 += (b & 0x7f) << s; s += 7 } while (b < 0)
+      f(e1, e2)
     }
   }
 
   /** Support (triangle count) of edge e in the full graph. */
-  def support(e: Int): Int = {
-    var s = 0
-    foreachTriangle(e)((_, _) => s += 1)
-    s
-  }
+  def support(e: Int): Int = triOff(e + 1) - triOff(e)
 
   /** All edge ids incident to vertex u. */
   def incidentEdges(u: Int): Seq[Int] =
@@ -133,6 +148,52 @@ object CompactGraph {
   def toDataFrame(g: CompactGraph, spark: SparkSession): DataFrame = {
     import spark.implicits._
     (0 until g.m).map(e => (e, g.edgeU(e), g.edgeV(e))).toDF("edgeId", "src", "dst")
+  }
+
+  /** Per-edge triangle lists: edge e has `off(e+1) - off(e)` triangles,
+    * coded in `code(codeOff(e) until codeOff(e+1))` as two LEB128 varints
+    * per triangle: the steps of the co-edge ids `(u,w)` and `(v,w)` from the
+    * previous triangle's (from 0 for the first).
+    */
+  private final class Triangles(val off: Array[Int], val codeOff: Array[Int], val code: Array[Byte])
+
+  /** The triangle index of `g`: for every edge `(u,v)`, a linear
+    * merge-intersection of the sorted adjacency runs of `u` and `v` codes the
+    * co-edges of each common neighbor `w`. Costs O(Σ(deg(u)+deg(v))) once.
+    */
+  private def indexTriangles(g: CompactGraph): Triangles = {
+    val off = new Array[Int](g.m + 1)
+    val codeOff = new Array[Int](g.m + 1)
+    var code = new Array[Byte](math.max(16, 4 * g.m))
+    var len = 0
+    def put(step: Int): Unit = {
+      if (len + 5 > code.length) code = java.util.Arrays.copyOf(code, 2 * code.length)
+      var d = step
+      while (d >= 0x80) { code(len) = ((d & 0x7f) | 0x80).toByte; len += 1; d >>>= 7 }
+      code(len) = d.toByte; len += 1
+    }
+    var e = 0
+    while (e < g.m) {
+      val u = g.edgeU(e); val v = g.edgeV(e)
+      var i = g.adjOff(u); var j = g.adjOff(v)
+      val iEnd = g.adjOff(u + 1); val jEnd = g.adjOff(v + 1)
+      var last1 = 0; var last2 = 0
+      var count = 0
+      while (i < iEnd && j < jEnd) {
+        val a = g.adjV(i); val b = g.adjV(j)
+        if (a == b) {
+          put(g.adjE(i) - last1); put(g.adjE(j) - last2)
+          last1 = g.adjE(i); last2 = g.adjE(j); count += 1
+          i += 1; j += 1
+        }
+        else if (a < b) i += 1
+        else j += 1
+      }
+      off(e + 1) = off(e) + count
+      codeOff(e + 1) = len
+      e += 1
+    }
+    new Triangles(off, codeOff, java.util.Arrays.copyOf(code, len))
   }
 
   /** Insertion sort of the (adjV, adjE) parallel slice [from, until) by adjV.

@@ -27,7 +27,11 @@ object LocalTruss {
 
   val AnchorTruss: Int = Int.MaxValue
 
-  /** Decompose `g`; edges whose id is in `anchors` are never removed. */
+  /** Decompose `g`; edges whose id is in `anchors` are never removed.
+    * Supports and triangles come from the graph's triangle index; each
+    * phase k is seeded from the alive non-anchor edges, in ascending id
+    * order, from a list that drops removed edges as it is scanned.
+    */
   def decompose(g: CompactGraph, anchors: Array[Boolean] = null): Result = {
     val m = g.m
     val anch = if (anchors == null) new Array[Boolean](m) else anchors
@@ -35,35 +39,48 @@ object LocalTruss {
     val alive = new Array[Boolean](m)
     val truss = new Array[Int](m)
     val layer = new Array[Int](m)
+    // rest(0 until nRest): alive non-anchor edges as of the last phase scan
+    val rest = new Array[Int](m)
+    var nRest = 0
     var e = 0
-    var aliveNonAnchor = 0
     while (e < m) {
       sup(e) = g.support(e)
       alive(e) = true
-      if (!anch(e)) aliveNonAnchor += 1
+      if (!anch(e)) { rest(nRest) = e; nRest += 1 }
       e += 1
     }
+    var aliveNonAnchor = nRest
     var kMax = 2
     var k = 2
     // scheduled(e): e is already queued for removal in the current or next
-    // sweep, to avoid duplicates in the frontier buffers.
+    // sweep, to avoid duplicates in the queue. An edge is queued at most
+    // once per decomposition, so one m-slot queue holds every sweep: the
+    // current sweep is queue(head until sweepEnd), the next one is
+    // queue(sweepEnd until tail).
     val scheduled = new Array[Boolean](m)
-    val frontier = new java.util.ArrayDeque[Int]()
-    val next = new java.util.ArrayDeque[Int]()
+    val queue = new Array[Int](m)
+    var head = 0
+    var tail = 0
     while (aliveNonAnchor > 0) {
-      // seed the phase-k frontier with a full scan (once per phase)
+      // seed the phase-k queue, compacting removed edges out of rest
       var i = 0
-      while (i < m) {
-        if (alive(i) && !anch(i) && sup(i) <= k - 2 && !scheduled(i)) {
-          frontier.add(i); scheduled(i) = true
+      var kept = 0
+      while (i < nRest) {
+        val x = rest(i)
+        if (alive(x)) {
+          rest(kept) = x; kept += 1
+          if (sup(x) <= k - 2 && !scheduled(x)) { queue(tail) = x; tail += 1; scheduled(x) = true }
         }
         i += 1
       }
+      nRest = kept
       var sweep = 0
-      while (!frontier.isEmpty) {
+      while (head < tail) {
         sweep += 1
-        while (!frontier.isEmpty) {
-          val x = frontier.poll()
+        val sweepEnd = tail
+        while (head < sweepEnd) {
+          val x = queue(head)
+          head += 1
           // remove x: record trussness/layer, cascade support decrements
           truss(x) = k
           layer(x) = sweep
@@ -74,13 +91,11 @@ object LocalTruss {
             if (alive(e1) && alive(e2)) {
               sup(e1) -= 1
               sup(e2) -= 1
-              if (!anch(e1) && sup(e1) <= k - 2 && !scheduled(e1)) { next.add(e1); scheduled(e1) = true }
-              if (!anch(e2) && sup(e2) <= k - 2 && !scheduled(e2)) { next.add(e2); scheduled(e2) = true }
+              if (!anch(e1) && sup(e1) <= k - 2 && !scheduled(e1)) { queue(tail) = e1; tail += 1; scheduled(e1) = true }
+              if (!anch(e2) && sup(e2) <= k - 2 && !scheduled(e2)) { queue(tail) = e2; tail += 1; scheduled(e2) = true }
             }
           }
         }
-        // edges that dropped during this sweep form the next sweep
-        while (!next.isEmpty) frontier.add(next.poll())
       }
       k += 1
     }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import scala.util.Random
 
 /** Rand / Sup / Tur random baselines: determinism, valid pools, and the
   * structural relation to the greedy result (GAS is at least as good as the
@@ -55,5 +56,23 @@ class BaselinesSpec extends SparkSpec {
     assert(Baselines.rand(spark, g, 2, 5) == 0)
     assert(Baselines.sup(spark, g, 2, 5) == 0)
     assert(Baselines.tur(spark, g, 2, 5) == 0)
+  }
+
+  test("pick draws what shuffling the boxed pool and taking b drew") {
+    for (len <- Seq(0, 1, 2, 5, 37, 400); b <- Seq(0, 1, 3, 20, len, len + 5); seed <- 1 to 25) {
+      val pool = Array.tabulate(len)(i => i * 7 + 3)
+      val want = new Random(seed).shuffle(pool.toVector).take(b)
+      assert(Baselines.pick(pool, b, new Random(seed)).toSeq == want, s"len=$len b=$b seed=$seed")
+    }
+  }
+
+  test("topFraction equals sorting by (-score, edge id), ties included") {
+    for (seed <- 1 to 20; m <- Seq(0, 1, 4, 50, 333)) {
+      val rnd = new Random(seed)
+      val score = Array.fill(m)(rnd.nextInt(6)) // few values: many ties
+      val k = math.max(1, (m * 0.2).toInt)
+      val want = (0 until m).sortBy(e => (-score(e), e)).take(k)
+      assert(Baselines.topFraction(score).toSeq == want, s"seed=$seed m=$m")
+    }
   }
 }

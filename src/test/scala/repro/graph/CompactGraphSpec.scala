@@ -4,10 +4,11 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{Greedy, TrussTree}
-import repro.truss.LocalTruss
+import repro.truss.{LocalTruss, ReferenceTruss}
 
-/** CSR construction invariants, triangle enumeration vs brute force, input
-  * validation, and the tree and GAS on degenerate graphs.
+/** CSR construction invariants, triangle enumeration vs brute force and vs
+  * the merge-intersection reference, input validation, and the triangle
+  * index, the peel, the tree and GAS on degenerate graphs.
   */
 class CompactGraphSpec extends SparkSpec {
 
@@ -89,6 +90,9 @@ class CompactGraphSpec extends SparkSpec {
   test("empty and tiny graphs") {
     val empty = CompactGraph.fromEdges(Nil)
     assert(empty.m == 0 && empty.n == 0)
+    assert(empty.triOff.sameElements(Array(0)))
+    val r = LocalTruss.decompose(empty)
+    assert(r.truss.isEmpty && r.layer.isEmpty && r.kMax == 2)
     val one = CompactGraph.fromEdges(Seq((0, 1)))
     assert(one.m == 1 && one.n == 2 && one.support(0) == 0)
   }
@@ -107,6 +111,8 @@ class CompactGraphSpec extends SparkSpec {
 
   test("triangle-free path: GAS picks edges 0 and 1 by tie-break and gains 0") {
     val g = CompactGraph.fromEdges(Seq((0, 1), (1, 2), (2, 3), (3, 4)))
+    assert((0 until g.m).forall(g.support(_) == 0))
+    assert(LocalTruss.decompose(g).truss.forall(_ == 2))
     val r = Greedy.gas(spark, g, 2)
     assert(r.anchors == List(0, 1) && r.gain == 0)
   }
@@ -114,6 +120,55 @@ class CompactGraphSpec extends SparkSpec {
   test("triangle with every edge anchored: the tree has no nodes") {
     val g = TestGraphs.clique(3)
     val dec = LocalTruss.decompose(g, LocalTruss.anchorMask(g.m, 0 until g.m))
+    assert(dec.truss.forall(_ == LocalTruss.AnchorTruss) && dec.layer.forall(_ == 0) && dec.kMax == 2)
     assert(TrussTree.build(g, dec.truss).nodes.isEmpty)
+  }
+
+  private def triangleLists(g: CompactGraph): Seq[Seq[(Int, Int)]] =
+    (0 until g.m).map { e =>
+      val out = Seq.newBuilder[(Int, Int)]
+      g.foreachTriangle(e)((a, b) => out += ((a, b)))
+      out.result()
+    }
+
+  test("the triangle index yields the merge's pairs in the merge's order") {
+    val graphs = (1 to 20).map(s => s"random-$s" -> TestGraphs.random(16, 60, s * 19)) ++
+      Seq("college", "pokec").map(n => n -> GraphGen.graph(n)) :+
+      // hub 0 with 20000 spokes; spoke 1 also meets spokes 2, 150 and 20000,
+      // so the co-edges (0,w) of (0,1) step by 1, 148 and 19850 edge ids:
+      // varints of one, two and three bytes
+      "hub" -> CompactGraph.fromEdges((1 to 20000).map(i => (0, i)) ++ Seq((1, 2), (1, 150), (1, 20000)))
+    for ((name, g) <- graphs) {
+      val want = (0 until g.m).map(ReferenceTruss.triangles(g, _))
+      assert(triangleLists(g) == want, name)
+      assert((0 until g.m).forall(e => g.support(e) == want(e).size), name)
+      assert(g.triOff.length == g.m + 1, name)
+    }
+  }
+
+  test("a Java-serialized graph rebuilds the same triangle index; the index is not written") {
+    def serialize(g: CompactGraph): Array[Byte] = {
+      val bytes = new java.io.ByteArrayOutputStream()
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(g); out.close()
+      bytes.toByteArray
+    }
+    val g = GraphGen.graph("college")
+    val before = triangleLists(g)
+    val bytes = serialize(g)
+    assert(bytes.length == serialize(GraphGen.graph("college")).length) // the same graph, never indexed
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
+      .readObject().asInstanceOf[CompactGraph]
+    assert(triangleLists(copy) == before)
+    assert(copy.triOff.sameElements(g.triOff))
+  }
+
+  test("isolated vertex ids: the triangle and the far edge are indexed apart") {
+    val g = CompactGraph.fromEdges(Seq((0, 1), (1, 2), (0, 2), (100, 101)))
+    assert(g.n == 102 && g.m == 4)
+    assert((0 until g.m).map(g.support) == Seq(1, 1, 1, 0))
+    assert(triangleLists(g) == (0 until g.m).map(ReferenceTruss.triangles(g, _)))
+    val r = LocalTruss.decompose(g)
+    assert(r.truss.toSeq == Seq(3, 3, 3, 2) && r.kMax == 3)
   }
 }

@@ -2,10 +2,12 @@ package repro.truss
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, GraphGen}
+import scala.util.Random
 
-/** The exact decomposition kernel against known-by-hand structures and the
-  * paper's structural facts (k-hulls, layers, anchors).
+/** The exact decomposition kernel against known-by-hand structures, the
+  * paper's structural facts (k-hulls, layers, anchors), and the reference
+  * peel [[ReferenceTruss]].
   */
 class LocalTrussSpec extends AnyFunSuite {
 
@@ -157,6 +159,32 @@ class LocalTrussSpec extends AnyFunSuite {
       val r2 = LocalTruss.decompose(g)
       assert(r1.truss.sameElements(r2.truss))
       assert(r1.layer.sameElements(r2.layer))
+    }
+  }
+
+  private def assertSameAsReference(g: CompactGraph, anchors: Array[Boolean], clue: String): Unit = {
+    val got = LocalTruss.decompose(g, anchors)
+    val want = ReferenceTruss.decompose(g, anchors)
+    assert(got.truss.sameElements(want.truss), s"$clue truss")
+    assert(got.layer.sameElements(want.layer), s"$clue layer")
+    assert(got.kMax == want.kMax, clue)
+  }
+
+  test("decompose equals the reference peel on random graphs with 0-20 anchors") {
+    for (seed <- 1 to 40) {
+      val g = TestGraphs.random(16, 40 + seed, seed * 17)
+      val rnd = new Random(seed)
+      val anchors = LocalTruss.anchorMask(g.m, Seq.fill(rnd.nextInt(21))(rnd.nextInt(g.m)))
+      assertSameAsReference(g, anchors, s"seed=$seed")
+    }
+  }
+
+  test("decompose equals the reference peel on college, facebook and pokec with 20 anchors") {
+    for (name <- Seq("college", "facebook", "pokec")) {
+      val g = GraphGen.graph(name)
+      val rnd = new Random(name.hashCode)
+      assertSameAsReference(g, null, name)
+      assertSameAsReference(g, LocalTruss.anchorMask(g.m, Seq.fill(20)(rnd.nextInt(g.m))), s"$name anchored")
     }
   }
 }

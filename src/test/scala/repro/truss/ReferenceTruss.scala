@@ -1,0 +1,69 @@
+package repro.truss
+
+import repro.graph.CompactGraph
+
+/** Reference implementations for the property tests: triangle enumeration
+  * by merge-intersecting the two sorted adjacency runs of an edge on every
+  * call, and the anchored peel over it with `ArrayDeque` frontiers and a
+  * full rescan of all edges at each k. [[CompactGraph]]'s triangle index and
+  * [[LocalTruss.decompose]] are checked against these.
+  */
+object ReferenceTruss {
+
+  /** Co-edge pairs of the triangles on `e`, ascending by the third vertex. */
+  def triangles(g: CompactGraph, e: Int): Seq[(Int, Int)] = {
+    val out = Seq.newBuilder[(Int, Int)]
+    val u = g.edgeU(e); val v = g.edgeV(e)
+    var i = g.adjOff(u); var j = g.adjOff(v)
+    val iEnd = g.adjOff(u + 1); val jEnd = g.adjOff(v + 1)
+    while (i < iEnd && j < jEnd) {
+      val a = g.adjV(i); val b = g.adjV(j)
+      if (a == b) { out += ((g.adjE(i), g.adjE(j))); i += 1; j += 1 }
+      else if (a < b) i += 1
+      else j += 1
+    }
+    out.result()
+  }
+
+  def decompose(g: CompactGraph, anchors: Array[Boolean] = null): LocalTruss.Result = {
+    val m = g.m
+    val anch = if (anchors == null) new Array[Boolean](m) else anchors
+    val sup = Array.tabulate(m)(triangles(g, _).size)
+    val alive = Array.fill(m)(true)
+    val truss = new Array[Int](m)
+    val layer = new Array[Int](m)
+    var aliveNonAnchor = anch.count(!_)
+    var kMax = 2
+    var k = 2
+    val scheduled = new Array[Boolean](m)
+    val frontier = new java.util.ArrayDeque[Int]()
+    val next = new java.util.ArrayDeque[Int]()
+    while (aliveNonAnchor > 0) {
+      for (i <- 0 until m if alive(i) && !anch(i) && sup(i) <= k - 2 && !scheduled(i)) {
+        frontier.add(i); scheduled(i) = true
+      }
+      var sweep = 0
+      while (!frontier.isEmpty) {
+        sweep += 1
+        while (!frontier.isEmpty) {
+          val x = frontier.poll()
+          truss(x) = k
+          layer(x) = sweep
+          alive(x) = false
+          aliveNonAnchor -= 1
+          if (k > kMax) kMax = k
+          for ((e1, e2) <- triangles(g, x) if alive(e1) && alive(e2)) {
+            sup(e1) -= 1
+            sup(e2) -= 1
+            if (!anch(e1) && sup(e1) <= k - 2 && !scheduled(e1)) { next.add(e1); scheduled(e1) = true }
+            if (!anch(e2) && sup(e2) <= k - 2 && !scheduled(e2)) { next.add(e2); scheduled(e2) = true }
+          }
+        }
+        while (!next.isEmpty) frontier.add(next.poll())
+      }
+      k += 1
+    }
+    for (e <- 0 until m if anch(e)) { truss(e) = LocalTruss.AnchorTruss; layer(e) = 0 }
+    LocalTruss.Result(truss, layer, kMax)
+  }
+}
