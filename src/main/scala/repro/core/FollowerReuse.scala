@@ -52,30 +52,47 @@ object FollowerReuse {
     RoundState(dec.truss, dec.layer, tree, sla)
   }
 
-  /** Refresh after anchoring `x` (anchors mask already includes `x`). */
+  /** Refresh after anchoring `x` (anchors mask already includes `x`).
+    *
+    * Anchoring `x` moves supports only through triangles, so trussness and
+    * layers can change only inside x's triangle-connected component. That
+    * component alone is re-peeled and spliced into copies of the previous
+    * arrays; the diffs, the dirty set and the sla updates run over it only.
+    * Equal to a full re-decomposition with whole-graph diffs (asserted by
+    * property tests against that reference).
+    */
   def refresh(g: CompactGraph, prev: RoundState, x: Int,
               anchors: Array[Boolean]): Refresh = {
-    val dec = LocalTruss.decompose(g, anchors)
+    val xComp = g.componentOf(x)
+    val dec = LocalTruss.decomposeComponents(g, anchors, if (xComp < 0) Array.empty[Int] else Array(xComp))
+    val comp = dec.ids
+    val truss = prev.truss.clone()
+    val layer = prev.layer.clone()
+    truss(x) = Int.MaxValue // peeled with its component, if it lies in a triangle
+    layer(x) = 0
     // tree structure can only change inside the top-level components of
     // edges whose decomposition outcome changed (followers, layer shifts)
     // or of the new anchor itself — rebuild just those (TrussTree.rebuild)
-    val dirty = mutable.HashSet[Int](x)
-    var e = 0
-    while (e < g.m) {
-      if (dec.truss(e) != prev.truss(e) || dec.layer(e) != prev.layer(e)) dirty += e
-      e += 1
+    val dirty = mutable.ArrayBuffer[Int](x)
+    var i = 0
+    while (i < comp.length) {
+      val e = comp(i)
+      if (dec.truss(i) != truss(e) || dec.layer(i) != layer(e)) {
+        dirty += e
+        truss(e) = dec.truss(i)
+        layer(e) = dec.layer(i)
+      }
+      i += 1
     }
-    val tree = TrussTree.rebuild(g, dec.truss, prev.tree, dirty)
+    val tree = TrussTree.rebuild(g, truss, prev.tree, dirty)
 
-    // edges whose decomposition outcome or node assignment changed
-    val changed = mutable.HashSet.empty[Int]
-    e = 0
-    while (e < g.m) {
-      if (dec.truss(e) != prev.truss(e) || dec.layer(e) != prev.layer(e) ||
+    // edges whose decomposition outcome or node assignment changed; the
+    // rebuilt top components lie inside x's component too
+    val changed = mutable.HashSet[Int](x)
+    comp.foreach { e =>
+      if (truss(e) != prev.truss(e) || layer(e) != prev.layer(e) ||
           tree.nodeOf(e) != prev.tree.nodeOf(e)) changed += e
-      e += 1
     }
-    changed += x
 
     val stale = mutable.HashSet.empty[Int]
     def addNode(id: Int): Unit = if (id != -1) stale += id
@@ -92,17 +109,14 @@ object FollowerReuse {
       slaDirty += c
       g.foreachTriangle(c) { (a, b) => slaDirty += a; slaDirty += b }
     }
-    val sla = new Array[Array[Int]](g.m)
-    e = 0
-    while (e < g.m) {
+    val sla = prev.sla.clone()
+    slaDirty.foreach { e =>
       sla(e) =
-        if (dec.truss(e) == Int.MaxValue) Array.empty[Int]
-        else if (slaDirty.contains(e)) TrussTree.sla(g, dec.truss, tree.nodeOf, e)
-        else prev.sla(e)
-      e += 1
+        if (truss(e) == Int.MaxValue) Array.empty[Int]
+        else TrussTree.sla(g, truss, tree.nodeOf, e)
     }
 
     val invalidatedEdges = changed.filter(c => !anchors(c)).toSet
-    Refresh(RoundState(dec.truss, dec.layer, tree, sla), stale.toSet, invalidatedEdges)
+    Refresh(RoundState(truss, layer, tree, sla), stale.toSet, invalidatedEdges)
   }
 }

@@ -16,9 +16,19 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
   * from the previous triangle's: about 2.4 B per co-edge pair on the
   * facebook stand-in, against 8 B as two ints.
   *
+  * Over the triangle index sits a component index: the triangle-connected
+  * components of the edges that lie in some triangle, as a CSR, components
+  * numbered by their smallest edge id, edge ids ascending inside each, plus
+  * each edge's slot in that list. An edge in no triangle is in no listed
+  * component: nothing peels it but itself, and on sparse graphs such edges
+  * are most of the edges (54k of the pokec stand-in's 70k), so leaving them
+  * out more than halves the index there. Anchoring an edge moves supports
+  * only through triangles, so only its own component can change trussness
+  * or layers; the peel runs per component on this index.
+  *
   * The structure is serializable and small (5 int arrays), so it is broadcast
-  * to executors for the bulk-parallel follower computations. The triangle
-  * index is transient: it is not serialized, and a deserialized copy builds
+  * to executors for the bulk-parallel follower computations. Both indexes
+  * are transient: they are not serialized, and a deserialized copy builds
   * its own on first use.
   *
   * @param n      number of vertices
@@ -74,6 +84,35 @@ final class CompactGraph(
 
   /** Support (triangle count) of edge e in the full graph. */
   def support(e: Int): Int = triOff(e + 1) - triOff(e)
+
+  @transient private lazy val components: CompactGraph.Components = CompactGraph.indexComponents(this)
+
+  /** Component offsets, length C+1: component c holds the edges
+    * `compEdges(compOff(c) until compOff(c+1))`.
+    */
+  private[repro] def compOff: Array[Int] = components.off
+
+  /** The edges of every component, component after component, each
+    * component's edge ids ascending: every edge that lies in a triangle.
+    */
+  private[repro] def compEdges: Array[Int] = components.edges
+
+  /** Slot of each edge in [[compEdges]], -1 for an edge in no triangle;
+    * length m.
+    */
+  private[repro] def compSlot: Array[Int] = components.slot
+
+  /** The triangle-connected component holding edge e, -1 for an edge in no
+    * triangle: a binary search of its slot in [[compOff]], O(log C).
+    */
+  private[repro] def componentOf(e: Int): Int = {
+    val s = components.slot(e)
+    if (s < 0) -1
+    else {
+      val i = java.util.Arrays.binarySearch(components.off, s)
+      if (i >= 0) i else -i - 2
+    }
+  }
 
   /** All edge ids incident to vertex u. */
   def incidentEdges(u: Int): Seq[Int] =
@@ -194,6 +233,67 @@ object CompactGraph {
       e += 1
     }
     new Triangles(off, codeOff, java.util.Arrays.copyOf(code, len))
+  }
+
+  /** Triangle-connected components: `edges(off(c) until off(c+1))` are the
+    * ascending edge ids of component c, and `slot(e)` is e's index in
+    * `edges` (-1 for an edge in no triangle).
+    */
+  private final class Components(val off: Array[Int], val edges: Array[Int], val slot: Array[Int])
+
+  /** The component index of `g`: one union-find pass over the triangle
+    * index (each triangle joined once, from its smallest edge, onto the
+    * smaller root), then a counting sort of the edges in triangles by
+    * component. Costs O(T α(m) + m) once.
+    */
+  private def indexComponents(g: CompactGraph): Components = {
+    val m = g.m
+    val uf = Array.range(0, m)
+    def find(e: Int): Int = {
+      var r = e
+      while (uf(r) != r) { uf(r) = uf(uf(r)); r = uf(r) }
+      r
+    }
+    def union(a: Int, b: Int): Unit = {
+      val ra = find(a); val rb = find(b)
+      if (ra < rb) uf(rb) = ra else if (rb < ra) uf(ra) = rb
+    }
+    var e = 0
+    while (e < m) {
+      val x = e
+      g.foreachTriangle(x) { (a, b) => if (x < a && x < b) { union(x, a); union(x, b) } }
+      e += 1
+    }
+    // a root is its component's smallest edge, so numbering components at
+    // their roots in ascending edge order numbers them by smallest edge
+    val comp = new Array[Int](m)
+    var count = 0
+    var listed = 0
+    e = 0
+    while (e < m) {
+      val r = find(e)
+      comp(e) = if (g.support(e) == 0) -1 else if (r == e) { count += 1; count - 1 } else comp(r)
+      if (comp(e) >= 0) listed += 1
+      e += 1
+    }
+    val off = new Array[Int](count + 1)
+    e = 0
+    while (e < m) { if (comp(e) >= 0) off(comp(e) + 1) += 1; e += 1 }
+    var c = 0
+    while (c < count) { off(c + 1) += off(c); c += 1 }
+    val edges = new Array[Int](listed)
+    val slot = comp // reused: each edge's component is read before its slot is written
+    val cursor = uf // no longer needed as a forest
+    System.arraycopy(off, 0, cursor, 0, count)
+    e = 0
+    while (e < m) {
+      if (comp(e) >= 0) {
+        val s = cursor(comp(e)); cursor(comp(e)) += 1
+        edges(s) = e; slot(e) = s
+      }
+      e += 1
+    }
+    new Components(off, edges, slot)
   }
 
   /** Insertion sort of the (adjV, adjE) parallel slice [from, until) by adjV.

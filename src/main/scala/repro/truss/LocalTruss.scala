@@ -1,6 +1,7 @@
 package repro.truss
 
 import repro.graph.CompactGraph
+import scala.collection.mutable
 
 /** Exact truss decomposition kernel (paper's Algorithm 1) with two
   * extensions the paper relies on:
@@ -13,6 +14,13 @@ import repro.graph.CompactGraph
   *  - **anchors**: anchored edges have `sup = +∞` conceptually — they are
   *    never removed, keep providing triangles at every phase, and receive
   *    `truss = Int.MaxValue`, `layer = 0` in the output.
+  *
+  * Every decomposition is one peel over whole triangle-connected components
+  * of the graph ([[CompactGraph]]'s component index). A removal changes
+  * supports only through triangles, and a triangle's three edges share a
+  * component, so each component peels exactly as it would inside the whole
+  * graph, sweep for sweep: `decompose` peels all of them, `trussGain` only
+  * those holding an anchor, and the GAS refresh only the new anchor's.
   *
   * This kernel runs on the driver and inside Spark tasks (over a broadcast
   * [[CompactGraph]]); the distributed DataFrame formulation is
@@ -27,51 +35,140 @@ object LocalTruss {
 
   val AnchorTruss: Int = Int.MaxValue
 
-  /** Decompose `g`; edges whose id is in `anchors` are never removed.
-    * Supports and triangles come from the graph's triangle index; each
-    * phase k is seeded from the alive non-anchor edges, in ascending id
-    * order, from a list that drops removed edges as it is scanned.
+  /** Decompose `g`; edges whose id is in `anchors` (a mask of length m,
+    * or null for none) are never removed. Runs the component peel over
+    * every component of `g`; an edge in no triangle goes in the first sweep
+    * of phase 2, as it would in a peel of the whole graph.
     */
   def decompose(g: CompactGraph, anchors: Array[Boolean] = null): Result = {
-    val m = g.m
-    val anch = if (anchors == null) new Array[Boolean](m) else anchors
-    val sup = new Array[Int](m)
-    val alive = new Array[Boolean](m)
-    val truss = new Array[Int](m)
-    val layer = new Array[Int](m)
-    // rest(0 until nRest): alive non-anchor edges as of the last phase scan
-    val rest = new Array[Int](m)
-    var nRest = 0
+    val anch = if (anchors == null) new Array[Boolean](g.m) else checkMask(g, anchors)
+    val local = peel(g, anch, g.compEdges)
+    val truss = new Array[Int](g.m)
+    val layer = new Array[Int](g.m)
     var e = 0
-    while (e < m) {
-      sup(e) = g.support(e)
-      alive(e) = true
-      if (!anch(e)) { rest(nRest) = e; nRest += 1 }
+    while (e < g.m) {
+      if (anch(e)) truss(e) = AnchorTruss // layer stays 0
+      else { truss(e) = 2; layer(e) = 1 }
       e += 1
+    }
+    var i = 0
+    while (i < local.ids.length) {
+      truss(local.ids(i)) = local.truss(i)
+      layer(local.ids(i)) = local.layer(i)
+      i += 1
+    }
+    Result(truss, layer, local.kMax)
+  }
+
+  /** Trussness gain of anchoring `anchors` relative to the base decomposition
+    * `base` (paper's Definition 4): Σ over non-anchored edges of the
+    * trussness increment. `base` is the decomposition of `g` under a subset
+    * of `anchors` (or none): outside the components that hold an anchor the
+    * two agree, so only those components are peeled, in O(T_C + m_C) for
+    * their T_C triangles and m_C edges, after an O(m) scan of the mask.
+    */
+  def trussGain(g: CompactGraph, base: Result, anchors: Array[Boolean]): Long = {
+    checkMask(g, anchors)
+    // an anchor in no triangle changes no trussness
+    val comps = mutable.SortedSet.empty[Int]
+    var e = 0
+    while (e < g.m) {
+      if (anchors(e)) {
+        val c = g.componentOf(e)
+        if (c >= 0) comps += c
+      }
+      e += 1
+    }
+    val after = decomposeComponents(g, anchors, comps.toArray)
+    var gain = 0L
+    var i = 0
+    while (i < after.ids.length) {
+      val x = after.ids(i)
+      if (!anchors(x)) gain += (after.truss(i) - base.truss(x)).toLong
+      i += 1
+    }
+    gain
+  }
+
+  /** The decomposition of some whole components of a graph, alone:
+    * `truss(i)` and `layer(i)` belong to edge `ids(i)`.
+    */
+  private[repro] final class Local(val ids: Array[Int], val truss: Array[Int],
+                                   val layer: Array[Int], val kMax: Int)
+
+  /** Decompose only the components `comps` (distinct ids of `g`'s
+    * component index): their edges get the trussness and layer that a
+    * decomposition of all of `g` gives them, since no triangle crosses a
+    * component boundary.
+    */
+  private[repro] def decomposeComponents(g: CompactGraph, anchors: Array[Boolean],
+                                         comps: Array[Int]): Local = {
+    val off = g.compOff
+    var n = 0
+    comps.foreach(c => n += off(c + 1) - off(c))
+    val ids = new Array[Int](n)
+    n = 0
+    comps.foreach { c =>
+      System.arraycopy(g.compEdges, off(c), ids, n, off(c + 1) - off(c))
+      n += off(c + 1) - off(c)
+    }
+    peel(g, checkMask(g, anchors), ids)
+  }
+
+  private def checkMask(g: CompactGraph, anchors: Array[Boolean]): Array[Boolean] = {
+    require(anchors.length == g.m,
+            s"anchor mask has length ${anchors.length}, but the graph has ${g.m} edges")
+    anchors
+  }
+
+  /** The peel of the whole components whose edges are `ids`, each
+    * component's edges in the order of `g.compEdges`. Supports and triangles
+    * come from the graph's triangle index; a co-edge of `ids(i)` shares its
+    * component, so it sits at local index `compSlot(co) + i - compSlot(ids(i))`.
+    * Each phase k is seeded from the alive non-anchor edges, in local order,
+    * from a list that drops removed edges as it is scanned. O(T_C + m_C).
+    */
+  private def peel(g: CompactGraph, anch: Array[Boolean], ids: Array[Int]): Local = {
+    val n = ids.length
+    val slot = g.compSlot
+    val sup = new Array[Int](n)
+    val alive = new Array[Boolean](n)
+    val truss = new Array[Int](n)
+    val layer = new Array[Int](n)
+    // rest(0 until nRest): alive non-anchor edges as of the last phase scan
+    val rest = new Array[Int](n)
+    var nRest = 0
+    var i = 0
+    while (i < n) {
+      sup(i) = g.support(ids(i))
+      alive(i) = true
+      if (anch(ids(i))) truss(i) = AnchorTruss // layer stays 0
+      else { rest(nRest) = i; nRest += 1 }
+      i += 1
     }
     var aliveNonAnchor = nRest
     var kMax = 2
     var k = 2
-    // scheduled(e): e is already queued for removal in the current or next
+    // scheduled(i): i is already queued for removal in the current or next
     // sweep, to avoid duplicates in the queue. An edge is queued at most
-    // once per decomposition, so one m-slot queue holds every sweep: the
+    // once per decomposition, so one n-slot queue holds every sweep: the
     // current sweep is queue(head until sweepEnd), the next one is
     // queue(sweepEnd until tail).
-    val scheduled = new Array[Boolean](m)
-    val queue = new Array[Int](m)
+    val scheduled = new Array[Boolean](n)
+    val queue = new Array[Int](n)
     var head = 0
     var tail = 0
     while (aliveNonAnchor > 0) {
       // seed the phase-k queue, compacting removed edges out of rest
-      var i = 0
+      var j = 0
       var kept = 0
-      while (i < nRest) {
-        val x = rest(i)
+      while (j < nRest) {
+        val x = rest(j)
         if (alive(x)) {
           rest(kept) = x; kept += 1
           if (sup(x) <= k - 2 && !scheduled(x)) { queue(tail) = x; tail += 1; scheduled(x) = true }
         }
-        i += 1
+        j += 1
       }
       nRest = kept
       var sweep = 0
@@ -87,39 +184,22 @@ object LocalTruss {
           alive(x) = false
           aliveNonAnchor -= 1
           if (k > kMax) kMax = k
-          g.foreachTriangle(x) { (e1, e2) =>
-            if (alive(e1) && alive(e2)) {
-              sup(e1) -= 1
-              sup(e2) -= 1
-              if (!anch(e1) && sup(e1) <= k - 2 && !scheduled(e1)) { queue(tail) = e1; tail += 1; scheduled(e1) = true }
-              if (!anch(e2) && sup(e2) <= k - 2 && !scheduled(e2)) { queue(tail) = e2; tail += 1; scheduled(e2) = true }
+          val delta = x - slot(ids(x))
+          g.foreachTriangle(ids(x)) { (a, b) =>
+            val x1 = slot(a) + delta
+            val x2 = slot(b) + delta
+            if (alive(x1) && alive(x2)) {
+              sup(x1) -= 1
+              sup(x2) -= 1
+              if (!anch(a) && sup(x1) <= k - 2 && !scheduled(x1)) { queue(tail) = x1; tail += 1; scheduled(x1) = true }
+              if (!anch(b) && sup(x2) <= k - 2 && !scheduled(x2)) { queue(tail) = x2; tail += 1; scheduled(x2) = true }
             }
           }
         }
       }
       k += 1
     }
-    e = 0
-    while (e < m) {
-      if (anch(e)) { truss(e) = AnchorTruss; layer(e) = 0 }
-      e += 1
-    }
-    Result(truss, layer, kMax)
-  }
-
-  /** Trussness gain of anchoring `anchors` relative to the base decomposition
-    * `base` (paper's Definition 4): Σ over non-anchored edges of the
-    * trussness increment.
-    */
-  def trussGain(g: CompactGraph, base: Result, anchors: Array[Boolean]): Long = {
-    val after = decompose(g, anchors)
-    var gain = 0L
-    var e = 0
-    while (e < g.m) {
-      if (!anchors(e)) gain += (after.truss(e) - base.truss(e)).toLong
-      e += 1
-    }
-    gain
+    new Local(ids, truss, layer, kMax)
   }
 
   /** Convenience: anchor-set from edge ids. */

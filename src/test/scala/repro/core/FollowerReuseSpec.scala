@@ -2,11 +2,15 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.graph.{CompactGraph, GraphGen}
 import repro.truss.LocalTruss
+import scala.util.Random
 
 /** Lemma 5 / Algorithm 5: after anchoring, every follower result declared
   * reusable must indeed be unchanged against a fresh computation under the
-  * new decomposition; everything that did change must be flagged stale.
+  * new decomposition; everything that did change must be flagged stale. The
+  * component-local refresh equals the whole-graph reference
+  * [[ReferenceReuse]] along anchor sequences.
   */
 class FollowerReuseSpec extends AnyFunSuite {
 
@@ -89,6 +93,50 @@ class FollowerReuseSpec extends AnyFunSuite {
         assert(s1.layer(e) == scratch.layer(e))
         assert(s1.tree.nodeOf(e) == scratch.tree.nodeOf(e))
       }
+    }
+  }
+
+  /** Run the refresh and the reference side by side along `xs` from the
+    * unanchored state, comparing every output after each anchor.
+    */
+  private def assertSameAsReference(g: CompactGraph, xs: Seq[Int], clue: String): Unit = {
+    val anchors = new Array[Boolean](g.m)
+    var got = FollowerReuse.initial(g, anchors)
+    var want = got
+    xs.foreach { x =>
+      anchors(x) = true
+      val r = FollowerReuse.refresh(g, got, x, anchors)
+      val w = ReferenceReuse.refresh(g, want, x, anchors)
+      val at = s"$clue after anchoring $x"
+      assert(r.state.truss.sameElements(w.state.truss), s"$at: truss")
+      assert(r.state.layer.sameElements(w.state.layer), s"$at: layer")
+      assert(r.state.tree.nodeOf.sameElements(w.state.tree.nodeOf), s"$at: nodeOf")
+      assert(r.state.tree.nodes.keySet == w.state.tree.nodes.keySet, s"$at: node ids")
+      for (e <- 0 until g.m) assert(r.state.sla(e).sameElements(w.state.sla(e)), s"$at: sla($e)")
+      assert(r.staleNodes == w.staleNodes, s"$at: staleNodes")
+      assert(r.invalidatedEdges == w.invalidatedEdges, s"$at: invalidatedEdges")
+      got = r.state
+      want = w.state
+    }
+  }
+
+  /** `n` distinct edges of `pool`, in random order. */
+  private def sequence(pool: Seq[Int], n: Int, rnd: Random): Seq[Int] = rnd.shuffle(pool.distinct).take(n)
+
+  test("the component refresh equals the whole-graph reference along random anchor sequences") {
+    for (seed <- 1 to 30) {
+      val g = TestGraphs.random(16, 40 + seed, seed * 53 + 7)
+      assertSameAsReference(g, sequence(0 until g.m, 8, new Random(seed)), s"seed=$seed")
+    }
+  }
+
+  test("the component refresh equals the whole-graph reference on college, facebook and pokec") {
+    for (name <- Seq("college", "facebook", "pokec")) {
+      val g = GraphGen.graph(name)
+      val rnd = new Random(name.hashCode)
+      val bySupport = (0 until g.m).sortBy(e => (-g.support(e), e)).take(g.m / 5)
+      assertSameAsReference(g, sequence(0 until g.m, 6, rnd), s"$name, any edges")
+      assertSameAsReference(g, sequence(bySupport, 6, rnd), s"$name, top-support edges")
     }
   }
 }

@@ -54,6 +54,24 @@ class GreedySpec extends SparkSpec {
     }
   }
 
+  test("GAS, BASE+ and BASE agree on the college stand-in at b=5: anchors, marginals and TG") {
+    // BASE scores every candidate by an anchored peel of the components it
+    // touches; at this scale that peel is what the test exercises
+    val g = GraphGen.graph("college")
+    val t0 = System.nanoTime()
+    val rb = Greedy.base(spark, g, 5)
+    val baseMs = (System.nanoTime() - t0) / 1000000
+    val rp = Greedy.basePlus(spark, g, 5)
+    val rg = Greedy.gas(spark, g, 5)
+    info(s"BASE on college (m=${g.m}, b=5): $baseMs ms")
+    for ((name, r) <- Seq("BASE" -> rb, "GAS" -> rg)) {
+      assert(r.anchors == rp.anchors, name)
+      assert(r.rounds.map(_.marginalGain) == rp.rounds.map(_.marginalGain), name)
+      assert(r.gain == rp.gain, name)
+    }
+    assert(rp.gain == LocalTruss.trussGain(g, LocalTruss.decompose(g), LocalTruss.anchorMask(g.m, rp.anchors)))
+  }
+
   test("reported gain equals the exact TG of the final anchor set") {
     for (seed <- 1 to 4) {
       val g = TestGraphs.random(13, 48, seed * 67 + 8)

@@ -146,19 +146,22 @@ class CompactGraphSpec extends SparkSpec {
     }
   }
 
+  private def serialize(g: CompactGraph): Array[Byte] = {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(g); out.close()
+    bytes.toByteArray
+  }
+
+  private def deserialize(bytes: Array[Byte]): CompactGraph =
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes)).readObject().asInstanceOf[CompactGraph]
+
   test("a Java-serialized graph rebuilds the same triangle index; the index is not written") {
-    def serialize(g: CompactGraph): Array[Byte] = {
-      val bytes = new java.io.ByteArrayOutputStream()
-      val out = new java.io.ObjectOutputStream(bytes)
-      out.writeObject(g); out.close()
-      bytes.toByteArray
-    }
     val g = GraphGen.graph("college")
     val before = triangleLists(g)
     val bytes = serialize(g)
     assert(bytes.length == serialize(GraphGen.graph("college")).length) // the same graph, never indexed
-    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
-      .readObject().asInstanceOf[CompactGraph]
+    val copy = deserialize(bytes)
     assert(triangleLists(copy) == before)
     assert(copy.triOff.sameElements(g.triOff))
   }
@@ -170,5 +173,77 @@ class CompactGraphSpec extends SparkSpec {
     assert(triangleLists(g) == (0 until g.m).map(ReferenceTruss.triangles(g, _)))
     val r = LocalTruss.decompose(g)
     assert(r.truss.toSeq == Seq(3, 3, 3, 2) && r.kMax == 3)
+  }
+
+  /** The component index as edge lists, after checking that its slots and
+    * `componentOf` agree with its lists and that exactly the edges in no
+    * triangle are left out.
+    */
+  private def componentLists(g: CompactGraph): Seq[Seq[Int]] = {
+    val lists = (0 until g.compOff.length - 1).map(c => g.compEdges.slice(g.compOff(c), g.compOff(c + 1)).toSeq)
+    assert(g.compOff.head == 0 && g.compOff.last == g.compEdges.length && g.compSlot.length == g.m)
+    for ((edges, c) <- lists.zipWithIndex; e <- edges) {
+      assert(g.compEdges(g.compSlot(e)) == e)
+      assert(g.componentOf(e) == c)
+    }
+    for (e <- 0 until g.m) assert((g.componentOf(e) == -1) == (g.support(e) == 0), s"edge $e")
+    lists
+  }
+
+  /** The reference's components, less the edges in no triangle. */
+  private def referenceLists(g: CompactGraph): Seq[Seq[Int]] = ReferenceTruss.components(g).filter(_.size > 1)
+
+  test("the component index equals a search over triangle adjacency") {
+    val graphs = (1 to 30).map(s => s"random-$s" -> TestGraphs.random(16, 30 + 2 * s, s * 29)) ++
+      Seq("college", "pokec").map(n => n -> GraphGen.graph(n))
+    for ((name, g) <- graphs) assert(componentLists(g) == referenceLists(g), name)
+  }
+
+  test("every triangle's three edges share one component") {
+    for (g <- (1 to 10).map(s => TestGraphs.random(20, 70, s * 31)) :+ GraphGen.graph("college"); e <- 0 until g.m)
+      g.foreachTriangle(e) { (a, b) =>
+        assert(g.componentOf(a) == g.componentOf(e) && g.componentOf(b) == g.componentOf(e), s"edge $e")
+      }
+  }
+
+  test("a Java-serialized graph rebuilds the same component index; the index is not written") {
+    val g = GraphGen.graph("college")
+    val before = componentLists(g)
+    val bytes = serialize(g)
+    assert(bytes.length == serialize(GraphGen.graph("college")).length) // the same graph, never indexed
+    val copy = deserialize(bytes)
+    assert(componentLists(copy) == before)
+    assert(copy.compSlot.sameElements(g.compSlot))
+  }
+
+  test("components of degenerate graphs: empty, triangle-free, fully anchored, isolated ids") {
+    val empty = CompactGraph.fromEdges(Nil)
+    assert(componentLists(empty).isEmpty && empty.compOff.sameElements(Array(0)))
+    assert(LocalTruss.trussGain(empty, LocalTruss.decompose(empty), new Array[Boolean](0)) == 0)
+
+    // a triangle-free path: every edge on its own, in no listed component,
+    // and no mask gains anything
+    val path = CompactGraph.fromEdges(Seq((0, 1), (1, 2), (2, 3), (3, 4)))
+    assert(componentLists(path).isEmpty && referenceLists(path).isEmpty)
+    assert(ReferenceTruss.components(path) == Seq(Seq(0), Seq(1), Seq(2), Seq(3)))
+    val base = LocalTruss.decompose(path)
+    for (bits <- 0 until 16) {
+      val mask = Array.tabulate(path.m)(e => (bits >> e & 1) == 1)
+      assert(LocalTruss.trussGain(path, base, mask) == 0, s"mask $bits")
+    }
+
+    // a triangle with all three edges anchored: one component, nothing to peel
+    val tri = TestGraphs.clique(3)
+    assert(componentLists(tri) == Seq(Seq(0, 1, 2)))
+    val all = LocalTruss.anchorMask(tri.m, 0 until tri.m)
+    assert(LocalTruss.trussGain(tri, LocalTruss.decompose(tri), all) == 0)
+
+    val far = CompactGraph.fromEdges(Seq((0, 1), (1, 2), (0, 2), (100, 101)))
+    assert(componentLists(far) == Seq(Seq(0, 1, 2)))
+    assert(far.componentOf(3) == -1 && far.compSlot(3) == -1)
+    val farBase = LocalTruss.decompose(far)
+    assert(LocalTruss.trussGain(far, farBase, LocalTruss.anchorMask(far.m, Seq(0, 3))) == 0)
+    assert(LocalTruss.decompose(far, LocalTruss.anchorMask(far.m, Seq(3))).truss.toSeq ==
+           Seq(3, 3, 3, LocalTruss.AnchorTruss))
   }
 }

@@ -185,6 +185,66 @@ class LocalTrussSpec extends AnyFunSuite {
       val rnd = new Random(name.hashCode)
       assertSameAsReference(g, null, name)
       assertSameAsReference(g, LocalTruss.anchorMask(g.m, Seq.fill(20)(rnd.nextInt(g.m))), s"$name anchored")
+      val bySupport = topFifth(Array.tabulate(g.m)(g.support))
+      assertSameAsReference(g, LocalTruss.anchorMask(g.m, Seq.fill(20)(bySupport(rnd.nextInt(bySupport.length)))),
+                            s"$name anchored by support")
     }
+  }
+
+  /** TG by the definition: the reference peel of the whole anchored graph,
+    * summed over the non-anchors against `base`.
+    */
+  private def referenceGain(g: CompactGraph, base: LocalTruss.Result, anchors: Array[Boolean]): Long = {
+    val after = ReferenceTruss.decompose(g, anchors)
+    (0 until g.m).filter(!anchors(_)).map(e => (after.truss(e) - base.truss(e)).toLong).sum
+  }
+
+  /** Edge ids in the top 20% by `score`, ties by edge id. */
+  private def topFifth(score: Array[Int]): Array[Int] =
+    score.indices.sortBy(e => (-score(e), e)).take(math.max(1, score.length / 5)).toArray
+
+  test("trussGain equals the reference peel's gain on random graphs with 0-20 anchors") {
+    for (seed <- 1 to 40) {
+      val g = TestGraphs.random(16, 40 + seed, seed * 23)
+      val base = ReferenceTruss.decompose(g)
+      val rnd = new Random(seed)
+      val anchors = LocalTruss.anchorMask(g.m, Seq.fill(rnd.nextInt(21))(rnd.nextInt(g.m)))
+      assert(LocalTruss.trussGain(g, base, anchors) == referenceGain(g, base, anchors), s"seed=$seed")
+    }
+  }
+
+  test("trussGain equals the reference peel's gain on college, facebook and pokec: 50 trials per pool") {
+    for (name <- Seq("college", "facebook", "pokec")) {
+      val g = GraphGen.graph(name)
+      val base = ReferenceTruss.decompose(g)
+      val finder = new repro.core.FollowerFinder(g)
+      val routes = Array.tabulate(g.m)(finder.find(base.truss, base.layer, _).routeSize)
+      val pools = Seq("all" -> Array.range(0, g.m),
+                      "support" -> topFifth(Array.tabulate(g.m)(g.support)),
+                      "route" -> topFifth(routes))
+      for ((pool, edges) <- pools; trial <- 1 to 50) {
+        val rnd = new Random(trial * 31 + pool.hashCode)
+        val anchors = LocalTruss.anchorMask(g.m, Seq.fill(20)(edges(rnd.nextInt(edges.length))))
+        assert(LocalTruss.trussGain(g, base, anchors) == referenceGain(g, base, anchors),
+               s"$name pool=$pool trial=$trial")
+      }
+    }
+  }
+
+  private def assertMaskRejected(len: Int): Unit = {
+    val g = TestGraphs.clique(4) // 6 edges
+    val base = LocalTruss.decompose(g)
+    val mask = new Array[Boolean](len)
+    val want = s"anchor mask has length $len, but the graph has 6 edges"
+    assert(intercept[IllegalArgumentException](LocalTruss.decompose(g, mask)).getMessage.contains(want))
+    assert(intercept[IllegalArgumentException](LocalTruss.trussGain(g, base, mask)).getMessage.contains(want))
+  }
+
+  test("a mask shorter than m is rejected with a message naming both lengths") {
+    assertMaskRejected(5)
+  }
+
+  test("a mask longer than m is rejected with a message naming both lengths") {
+    assertMaskRejected(7)
   }
 }

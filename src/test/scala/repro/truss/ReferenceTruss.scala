@@ -4,9 +4,11 @@ import repro.graph.CompactGraph
 
 /** Reference implementations for the property tests: triangle enumeration
   * by merge-intersecting the two sorted adjacency runs of an edge on every
-  * call, and the anchored peel over it with `ArrayDeque` frontiers and a
-  * full rescan of all edges at each k. [[CompactGraph]]'s triangle index and
-  * [[LocalTruss.decompose]] are checked against these.
+  * call, triangle-connected components by a search over it, and the
+  * anchored peel of the whole graph over it with `ArrayDeque` frontiers and
+  * a full rescan of all edges at each k. [[CompactGraph]]'s triangle and
+  * component indexes, [[LocalTruss.decompose]] and [[LocalTruss.trussGain]]
+  * are checked against these.
   */
 object ReferenceTruss {
 
@@ -23,6 +25,26 @@ object ReferenceTruss {
       else j += 1
     }
     out.result()
+  }
+
+  /** Triangle-connected components by breadth-first search over triangle
+    * adjacency: each an ascending edge list, listed by smallest edge.
+    */
+  def components(g: CompactGraph): Seq[Seq[Int]] = {
+    val seen = new Array[Boolean](g.m)
+    val comps = Seq.newBuilder[Seq[Int]]
+    for (start <- 0 until g.m if !seen(start)) {
+      val out = Seq.newBuilder[Int]
+      val todo = new java.util.ArrayDeque[Int]()
+      todo.add(start); seen(start) = true
+      while (!todo.isEmpty) {
+        val e = todo.poll()
+        out += e
+        for ((a, b) <- triangles(g, e); c <- Seq(a, b) if !seen(c)) { seen(c) = true; todo.add(c) }
+      }
+      comps += out.result().sorted
+    }
+    comps.result()
   }
 
   def decompose(g: CompactGraph, anchors: Array[Boolean] = null): LocalTruss.Result = {
