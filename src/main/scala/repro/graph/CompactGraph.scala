@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-
 /** Immutable CSR representation of an undirected simple graph.
   *
   * Edges are canonical (`u < v`) and densely numbered `0 until m`; vertices
@@ -122,14 +120,17 @@ final class CompactGraph(
 object CompactGraph {
 
   /** Build from a raw (possibly duplicated / self-looped / unordered) edge
-    * list. Vertex ids are kept as given and must be >= 0 (a negative id is
-    * rejected); the vertex count is `maxId + 1`. Edge ids are assigned in
-    * sorted (u,v) order so they are deterministic for a given edge set.
+    * list. Vertex ids are kept as given and must lie in `[0, Int.MaxValue)`
+    * (anything else is rejected); the vertex count is `maxId + 1`. Edge ids
+    * are assigned in sorted (u,v) order so they are deterministic for a
+    * given edge set.
     */
   def fromEdges(raw: Iterable[(Int, Int)]): CompactGraph = {
     val canon = raw.iterator
       .filter { case (a, b) =>
         require(a >= 0 && b >= 0, s"negative vertex id ${math.min(a, b)} in edge ($a, $b)")
+        require(a < Int.MaxValue && b < Int.MaxValue,
+                s"vertex id ${Int.MaxValue} in edge ($a, $b) is too large: the vertex count maxId + 1 must fit an Int")
         a != b
       }
       .map { case (a, b) => if (a < b) (a, b) else (b, a) }
@@ -168,25 +169,6 @@ object CompactGraph {
       u += 1
     }
     new CompactGraph(n, m, edgeU, edgeV, adjOff, adjV, adjE)
-  }
-
-  /** Collect a canonical edge DataFrame (columns `src`, `dst`) to the driver
-    * and build a CompactGraph. Intended for graphs that fit the driver (all
-    * bench stand-ins do); the distributed path is `GraphOps`/`SparkTruss`.
-    */
-  def fromDataFrame(df: DataFrame): CompactGraph = {
-    val edges = df.select("src", "dst").collect().map {
-      case Row(a: Int, b: Int)   => (a, b)
-      case Row(a: Long, b: Long) => (a.toInt, b.toInt)
-      case r                     => (r.get(0).toString.toInt, r.get(1).toString.toInt)
-    }
-    fromEdges(edges)
-  }
-
-  /** Export to a canonical edge DataFrame with columns (edgeId, src, dst). */
-  def toDataFrame(g: CompactGraph, spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    (0 until g.m).map(e => (e, g.edgeU(e), g.edgeV(e))).toDF("edgeId", "src", "dst")
   }
 
   /** Per-edge triangle lists: edge e has `off(e+1) - off(e)` triangles,

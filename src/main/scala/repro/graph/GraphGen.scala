@@ -2,7 +2,6 @@ package repro.graph
 
 import scala.collection.mutable
 import scala.util.Random
-import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Deterministic synthetic stand-ins for the paper's 8 SNAP datasets.
   *
@@ -115,12 +114,6 @@ object GraphGen {
   def graph(cfg: Config): CompactGraph = CompactGraph.fromEdges(edges(cfg))
 
   def graph(name: String): CompactGraph = graph(preset(name))
-
-  /** Generate as a raw edge DataFrame (columns src, dst). */
-  def dataFrame(spark: SparkSession, cfg: Config): DataFrame = {
-    import spark.implicits._
-    edges(cfg).toDF("src", "dst")
-  }
 
   /** Exp-2 subgraph extraction (method of Linghu et al. [3], as described in
     * the paper): grow a vertex set from a seed vertex by repeatedly adding a

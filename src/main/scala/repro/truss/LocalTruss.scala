@@ -23,8 +23,7 @@ import scala.collection.mutable
   * those holding an anchor, and the GAS refresh only the new anchor's.
   *
   * This kernel runs on the driver and inside Spark tasks (over a broadcast
-  * [[CompactGraph]]); the distributed DataFrame formulation is
-  * [[SparkTruss]] and is cross-validated against this one.
+  * [[CompactGraph]]).
   */
 object LocalTruss {
 

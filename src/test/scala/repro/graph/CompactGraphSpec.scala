@@ -102,6 +102,14 @@ class CompactGraphSpec extends SparkSpec {
     assert(err.getMessage.contains("negative vertex id -1"), err.getMessage)
   }
 
+  test("vertex id Int.MaxValue is rejected with a message naming it and its edge") {
+    for (edges <- Seq(Seq((0, Int.MaxValue)), Seq((1, 2), (Int.MaxValue, 3)), Seq((Int.MaxValue, Int.MaxValue)))) {
+      val err = intercept[IllegalArgumentException](CompactGraph.fromEdges(edges))
+      val (a, b) = edges.last
+      assert(err.getMessage.contains(s"vertex id ${Int.MaxValue} in edge ($a, $b)"), err.getMessage)
+    }
+  }
+
   test("empty graph: no tree nodes, GAS anchors nothing and gains 0") {
     val g = CompactGraph.fromEdges(Nil)
     assert(TrussTree.build(g, LocalTruss.decompose(g).truss).nodes.isEmpty)

@@ -53,13 +53,4 @@ class GraphGenSpec extends AnyFunSuite {
     val sub = GraphGen.extractSubgraph(g, seedVertex = g.adjV(0), lo = 150, hi = 250)
     assert(sub.m >= 100 && sub.m <= 250, s"sub.m=${sub.m}")
   }
-
-  test("dataFrame generation matches local generation") {
-    val spark = repro.SparkSpec.shared
-    val cfg = GraphGen.preset("college")
-    val fromDf = CompactGraph.fromDataFrame(
-      GraphOps.canonicalEdges(GraphGen.dataFrame(spark, cfg)))
-    val local = GraphGen.graph(cfg)
-    assert(fromDf.m == local.m && fromDf.n == local.n)
-  }
 }

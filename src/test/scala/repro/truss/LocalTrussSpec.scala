@@ -7,7 +7,7 @@ import scala.util.Random
 
 /** The exact decomposition kernel against known-by-hand structures, the
   * paper's structural facts (k-hulls, layers, anchors), and the reference
-  * peel [[ReferenceTruss]].
+  * peels of [[ReferenceTruss]].
   */
 class LocalTrussSpec extends AnyFunSuite {
 
@@ -94,22 +94,24 @@ class LocalTrussSpec extends AnyFunSuite {
   }
 
   test("maximality: no edge outside the k-truss could survive within it") {
-    // the k-truss is the *maximal* subgraph: re-peeling edges of trussness
-    // k-1 against the k-truss must eliminate them
-    for (seed <- 1 to 10) {
+    // {e : truss(e) >= k} is the whole k-truss: the fixpoint of deleting,
+    // from the whole graph, every non-anchor whose support among the edges
+    // left is below k-2
+    for (seed <- 1 to 10; anchored <- Seq(false, true)) {
       val g = TestGraphs.random(12, 40, seed * 5)
-      val r = LocalTruss.decompose(g)
-      for (k <- 3 to r.kMax) {
-        val in = (0 until g.m).filter(r.truss(_) >= k).toSet
-        for (e <- 0 until g.m if r.truss(e) == k - 1) {
-          var sup = 0
-          g.foreachTriangle(e)((a, b) => if (in(a) && in(b)) sup += 1)
-          // a (k-1)-edge may have high support against the k-truss only if
-          // the peel killed it transitively; spot-check the simple bound:
-          // its support within its own truss level must be >= k-3
-          assert(r.truss(e) >= 2)
-          sup >= 0 // structural smoke; transitive maximality is checked via SparkTruss equivalence
+      val anchors = LocalTruss.anchorMask(g.m, if (anchored) Seq(0, g.m / 2) else Nil)
+      val r = LocalTruss.decompose(g, anchors)
+      for (k <- 2 to r.kMax + 1) {
+        val kTruss = Array.fill(g.m)(true)
+        var shrinking = true
+        while (shrinking) {
+          val sup = ReferenceTruss.supportWithin(g, kTruss)
+          val drop = (0 until g.m).filter(e => kTruss(e) && !anchors(e) && sup(e) < k - 2)
+          drop.foreach(kTruss(_) = false)
+          shrinking = drop.nonEmpty
         }
+        assert((0 until g.m).filter(r.truss(_) >= k) == (0 until g.m).filter(kTruss),
+               s"seed=$seed anchored=$anchored k=$k")
       }
     }
   }
@@ -168,6 +170,33 @@ class LocalTrussSpec extends AnyFunSuite {
     assert(got.truss.sameElements(want.truss), s"$clue truss")
     assert(got.layer.sameElements(want.layer), s"$clue layer")
     assert(got.kMax == want.kMax, clue)
+  }
+
+  /** Trussness, layers and kMax against [[ReferenceTruss.bySweeps]], which
+    * recounts supports from the surviving edges at every sweep.
+    */
+  private def assertSameBySweeps(g: CompactGraph, anchors: Array[Boolean], clue: String): Unit = {
+    val got = LocalTruss.decompose(g, anchors)
+    val want = ReferenceTruss.bySweeps(g, anchors)
+    for (e <- 0 until g.m) {
+      assert(got.truss(e) == want.truss(e), s"$clue edge $e truss: local=${got.truss(e)} by sweeps=${want.truss(e)}")
+      assert(got.layer(e) == want.layer(e), s"$clue edge $e layer: local=${got.layer(e)} by sweeps=${want.layer(e)}")
+    }
+    assert(got.kMax == want.kMax, clue)
+  }
+
+  test("decompose equals the peel by sweeps on a clique, a cycle, bowtie cliques and random graphs") {
+    assertSameBySweeps(TestGraphs.clique(6), null, "clique(6)")
+    assertSameBySweeps(TestGraphs.cycle(7), null, "cycle(7)")
+    assertSameBySweeps(TestGraphs.bowtieCliques(5), null, "bowtieCliques(5)")
+    for (seed <- 1 to 4) assertSameBySweeps(TestGraphs.random(14, 45, seed * 23), null, s"random seed=$seed")
+  }
+
+  test("decompose equals the peel by sweeps with anchored edges") {
+    for (seed <- 1 to 3) {
+      val g = TestGraphs.random(12, 40, seed * 29)
+      assertSameBySweeps(g, LocalTruss.anchorMask(g.m, Seq(0, g.m / 2)), s"seed=$seed")
+    }
   }
 
   test("decompose equals the reference peel on random graphs with 0-20 anchors") {

@@ -4,13 +4,53 @@ import repro.graph.CompactGraph
 
 /** Reference implementations for the property tests: triangle enumeration
   * by merge-intersecting the two sorted adjacency runs of an edge on every
-  * call, triangle-connected components by a search over it, and the
-  * anchored peel of the whole graph over it with `ArrayDeque` frontiers and
-  * a full rescan of all edges at each k. [[CompactGraph]]'s triangle and
-  * component indexes, [[LocalTruss.decompose]] and [[LocalTruss.trussGain]]
-  * are checked against these.
+  * call, triangle-connected components by a search over it, the anchored
+  * peel of the whole graph over it with `ArrayDeque` frontiers and a full
+  * rescan of all edges at each k, and a peel by sweeps that recounts every
+  * support from the surviving edge list instead of decrementing it.
+  * [[CompactGraph]]'s triangle and component indexes,
+  * [[LocalTruss.decompose]] and [[LocalTruss.trussGain]] are checked against
+  * these.
   */
 object ReferenceTruss {
+
+  /** Support of each edge in `alive` within the subgraph of the `alive`
+    * edges (0 for the others), counted from the edge endpoints alone: no CSR
+    * adjacency and no triangle index.
+    */
+  def supportWithin(g: CompactGraph, alive: Array[Boolean]): Array[Int] = {
+    val nbrs = Array.fill(g.n)(Set.newBuilder[Int])
+    for (e <- 0 until g.m if alive(e)) { nbrs(g.edgeU(e)) += g.edgeV(e); nbrs(g.edgeV(e)) += g.edgeU(e) }
+    val sets = nbrs.map(_.result())
+    Array.tabulate(g.m)(e => if (alive(e)) sets(g.edgeU(e)).count(sets(g.edgeV(e))) else 0)
+  }
+
+  /** The anchored peel as its definition states it: at phase k, each sweep
+    * recounts the support of every surviving edge and removes, all at once,
+    * every non-anchor whose support is at most k-2; the sweep's number is
+    * the removed edges' layer. Phase k ends with the first sweep that
+    * removes nothing.
+    */
+  def bySweeps(g: CompactGraph, anchors: Array[Boolean] = null): LocalTruss.Result = {
+    val anch = if (anchors == null) new Array[Boolean](g.m) else anchors
+    val alive = Array.fill(g.m)(true)
+    val truss = Array.fill(g.m)(LocalTruss.AnchorTruss)
+    val layer = new Array[Int](g.m)
+    var kMax = 2
+    var k = 2
+    while ((0 until g.m).exists(e => alive(e) && !anch(e))) {
+      var sweep = 0
+      var gone = Seq.empty[Int]
+      do {
+        val sup = supportWithin(g, alive)
+        gone = (0 until g.m).filter(e => alive(e) && !anch(e) && sup(e) <= k - 2)
+        sweep += 1
+        for (e <- gone) { alive(e) = false; truss(e) = k; layer(e) = sweep; kMax = k }
+      } while (gone.nonEmpty)
+      k += 1
+    }
+    LocalTruss.Result(truss, layer, kMax)
+  }
 
   /** Co-edge pairs of the triangles on `e`, ascending by the third vertex. */
   def triangles(g: CompactGraph, e: Int): Seq[(Int, Int)] = {
