@@ -32,6 +32,7 @@ object AKT {
 
   /** Run AKT for one k value with budget b. */
   def run(g: CompactGraph, k: Int, b: Int): KResult = {
+    require(b >= 0, s"b must be non-negative, got $b")
     val baseDec = LocalTruss.decompose(g)
     val finder = new FollowerFinder(g)
     val anchors = new Array[Boolean](g.m)

@@ -22,6 +22,7 @@ object Baselines {
   /** Max trussness gain over `trials` random b-subsets of `pool`. */
   def maxGainOverTrials(spark: SparkSession, g: CompactGraph, pool: Array[Int],
                         b: Int, trials: Int, seed: Long): Long = {
+    require(b >= 0, s"b must be non-negative, got $b")
     require(trials > 0, s"trials must be positive, got $trials")
     import spark.implicits._
     Using.resource(new Sweep(spark, g)) { sweep =>

@@ -57,7 +57,8 @@ object FollowerReuse {
     * Anchoring `x` moves supports only through triangles, so trussness and
     * layers can change only inside x's triangle-connected component. That
     * component alone is re-peeled and spliced into copies of the previous
-    * arrays; the diffs, the dirty set and the sla updates run over it only.
+    * arrays; the tree rebuild, the diffs and the sla updates run over it
+    * only.
     * Equal to a full re-decomposition with whole-graph diffs (asserted by
     * property tests against that reference).
     */
@@ -70,24 +71,17 @@ object FollowerReuse {
     val layer = prev.layer.clone()
     truss(x) = Int.MaxValue // peeled with its component, if it lies in a triangle
     layer(x) = 0
-    // tree structure can only change inside the top-level components of
-    // edges whose decomposition outcome changed (followers, layer shifts)
-    // or of the new anchor itself — rebuild just those (TrussTree.rebuild)
-    val dirty = mutable.ArrayBuffer[Int](x)
     var i = 0
     while (i < comp.length) {
-      val e = comp(i)
-      if (dec.truss(i) != truss(e) || dec.layer(i) != layer(e)) {
-        dirty += e
-        truss(e) = dec.truss(i)
-        layer(e) = dec.layer(i)
-      }
+      truss(comp(i)) = dec.truss(i)
+      layer(comp(i)) = dec.layer(i)
       i += 1
     }
-    val tree = TrussTree.rebuild(g, truss, prev.tree, dirty)
+    // every edge whose trussness changed lies in x's component, so
+    // rebuilding that component (or x alone, in no triangle) is enough
+    val tree = TrussTree.rebuild(g, truss, prev.tree, Seq(x))
 
-    // edges whose decomposition outcome or node assignment changed; the
-    // rebuilt top components lie inside x's component too
+    // edges whose decomposition outcome or node assignment changed
     val changed = mutable.HashSet[Int](x)
     comp.foreach { e =>
       if (truss(e) != prev.truss(e) || layer(e) != prev.layer(e) ||

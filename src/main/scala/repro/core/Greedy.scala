@@ -90,7 +90,8 @@ object Greedy {
   /** The greedy loop: each round scores the non-anchored edges and anchors
     * the best one (max gain, then smallest edge id).
     */
-  private def select(spark: SparkSession, g: CompactGraph, b: Int)(scorer: Sweep => Scorer): Result =
+  private def select(spark: SparkSession, g: CompactGraph, b: Int)(scorer: Sweep => Scorer): Result = {
+    require(b >= 0, s"b must be non-negative, got $b")
     Using.resource(new Sweep(spark, g)) { sweep =>
       val s = scorer(sweep)
       val anchors = new Array[Boolean](g.m)
@@ -107,6 +108,7 @@ object Greedy {
       }
       Result(rounds.map(_.anchor).toSeq, finalGain(g, anchors), rounds.toSeq)
     }
+  }
 
   /** Exact TG(A, G) for a finished anchor mask. */
   private def finalGain(g: CompactGraph, anchors: Array[Boolean]): Long =

@@ -17,12 +17,13 @@ import scala.collection.mutable
   * them, exactly as it does for follower propagation — but belong to no
   * node (`nodeOf = -1`).
   *
-  * [[TrussTree.rebuild]] exploits that *top-level* components (triangle
-  * connectivity over the full edge set, which ignores trussness) never
-  * change when an edge is anchored: anchoring only moves the edge from
-  * member to connector, leaving every union intact. Only the top components
-  * containing an edge whose trussness/anchor status changed go through the
-  * construction pass again; all other nodes are carried over verbatim.
+  * Each top-level node's subtree is one triangle-connected component of the
+  * whole edge set (`CompactGraph.componentOf`), or one edge in no triangle:
+  * at the lowest trussness in a component every edge is in, so the whole
+  * component is one class. Components ignore trussness, so anchoring never
+  * changes them; [[TrussTree.rebuild]] reruns the construction pass over the
+  * components of the edges it is given and carries every other node over
+  * verbatim.
   */
 final class TrussTree(
     val nodes: Map[Int, TrussTree.Node],
@@ -30,7 +31,10 @@ final class TrussTree(
     val nodeOf: Array[Int],
 ) {
 
-  /** All edge ids in the subtree rooted at node `id`. */
+  /** All edge ids in the subtree rooted at node `id`. The construction
+    * does not use it; the benchmark's replay and the tests do, to measure
+    * and check trees.
+    */
   def subtreeEdges(id: Int): Array[Int] = {
     val buf = mutable.ArrayBuffer.empty[Int]
     val stack = mutable.Stack(id)
@@ -42,7 +46,10 @@ final class TrussTree(
     buf.toArray
   }
 
-  /** Top-level root id owning edge `e` (-1 for anchors). */
+  /** Top-level root id owning edge `e` (-1 for anchors), by walking parent
+    * links. The construction does not use it; the benchmark's replay does,
+    * to count the edges under the roots a rebuild redoes.
+    */
   def rootOf(e: Int): Int = {
     var id = nodeOf(e)
     if (id == -1) return -1
@@ -66,47 +73,48 @@ object TrussTree {
     */
   def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
     val nodeOf = Array.fill(g.m)(-1)
-    val nodes = new Pass(g, truss, nodeOf).run(Array.range(0, g.m).filter(truss(_) != Int.MaxValue))
+    val nodes = new Pass(g, truss, nodeOf).run(Array.range(0, g.m))
     new TrussTree(nodes, nodeOf)
   }
 
-  /** Rebuild only the top-level components containing `dirty` edges; every
-    * other node (and its id) is carried over from `prev` unchanged.
-    * Equivalent to `build(g, truss)` — asserted by property tests.
+  /** Rerun the construction pass over the triangle-connected component of
+    * every `dirty` edge (an edge in no triangle on its own) and carry every
+    * other node (and its id) over from `prev` unchanged. A component's nodes
+    * are the nodes whose ids are its edges, since an id is a member edge.
+    * `dirty` must hold every edge whose trussness differs from `prev`'s;
+    * then the result equals `build(g, truss)` (asserted by property tests).
     */
   def rebuild(g: CompactGraph, truss: Array[Int], prev: TrussTree,
               dirty: Iterable[Int]): TrussTree = {
-    val affectedRoots = dirty.map(prev.rootOf).filter(_ != -1).toSet
-    if (affectedRoots.isEmpty) return prev
-    val affectedEdges = affectedRoots.iterator.flatMap(prev.subtreeEdges).toArray
-    val keepNodes = prev.nodes.filter { case (id, _) =>
-      !affectedRoots.contains(prevRootOfNode(prev, id))
+    val comps = mutable.HashSet.empty[Int]
+    val edges = mutable.ArrayBuilder.make[Int]
+    dirty.iterator.distinct.foreach { e =>
+      val c = g.componentOf(e)
+      if (c == -1) edges += e
+      else if (comps.add(c)) edges.addAll(g.compEdges, g.compOff(c), g.compOff(c + 1) - g.compOff(c))
     }
+    val redo = edges.result()
     val nodeOf = prev.nodeOf.clone()
-    affectedEdges.foreach(nodeOf(_) = -1)
-    val rebuilt = new Pass(g, truss, nodeOf).run(affectedEdges.filter(truss(_) != Int.MaxValue))
-    new TrussTree(keepNodes ++ rebuilt, nodeOf)
-  }
-
-  private def prevRootOfNode(prev: TrussTree, id: Int): Int = {
-    var cur = id
-    while (prev.nodes(cur).parent != -1) cur = prev.nodes(cur).parent
-    cur
+    redo.foreach(nodeOf(_) = -1)
+    val rebuilt = new Pass(g, truss, nodeOf).run(redo)
+    new TrussTree(prev.nodes.removedAll(redo.filter(e => prev.nodeOf(e) == e)) ++ rebuilt, nodeOf)
   }
 
   /** The construction pass shared by build and rebuild: Algorithm 4 as one
-    * union-find sweep over the `subset` edges in descending trussness.
+    * union-find sweep over whole triangle-connected components, anchors
+    * included.
     *
-    * An edge joins the union-find when its level is reached and is unioned
-    * with the two co-edges of every triangle whose other edges are already
-    * in, so each triangle is joined once. After level k the classes are the
-    * triangle-connected components of the edges of trussness >= k and the
-    * anchors, and each class that gained level-k edges becomes one node:
-    * id = its smallest level-k edge, children = the class's previous top
-    * nodes (the components of the levels above that it absorbed). Anchors are in from the start; the first triangle to reach
-    * one also brings in every anchor joined to it by anchor-only triangles,
-    * because three anchors can be the only link between two components.
-    * Fills `nodeOf` for `subset` and returns the created nodes.
+    * The anchors are in from the start, joined through anchor-only
+    * triangles, because three anchors can be the only link between two
+    * components. The other edges join level by level in descending
+    * trussness, each unioned with the two co-edges of every triangle whose
+    * other edges are already in, so each triangle is joined once. After
+    * level k the classes are the triangle-connected components of the edges
+    * of trussness >= k and the anchors, and each class that gained level-k
+    * edges becomes one node: id = its smallest level-k edge, children = the
+    * class's previous top nodes (the components of the levels above that it
+    * absorbed). Fills `nodeOf` for the given edges and returns the created
+    * nodes.
     */
   private final class Pass(g: CompactGraph, truss: Array[Int], nodeOf: Array[Int]) {
     /** union-find parent per edge; -1 while the edge is not in */
@@ -139,33 +147,10 @@ object TrussTree {
       }
     }
 
-    private def isIn(e: Int): Boolean = {
-      if (uf(e) == -1 && truss(e) == Int.MaxValue) addAnchors(e)
-      uf(e) != -1
-    }
-
-    /** Bring in anchor `x` and every anchor joined to it by anchor-only
-      * triangles.
-      */
-    private def addAnchors(x: Int): Unit = {
-      uf(x) = x
-      val todo = mutable.Stack(x)
-      while (todo.nonEmpty) {
-        val a = todo.pop()
-        g.foreachTriangle(a) { (p, q) =>
-          if (truss(p) == Int.MaxValue && truss(q) == Int.MaxValue) {
-            if (uf(p) == -1) { uf(p) = p; todo.push(p) }
-            if (uf(q) == -1) { uf(q) = q; todo.push(q) }
-            union(a, p); union(a, q)
-          }
-        }
-      }
-    }
-
     private def add(e: Int): Unit = {
       uf(e) = e
       g.foreachTriangle(e) { (a, b) =>
-        if (isIn(a) && isIn(b)) { union(e, a); union(e, b) }
+        if (uf(a) != -1 && uf(b) != -1) { union(e, a); union(e, b) }
       }
     }
 
@@ -191,11 +176,20 @@ object TrussTree {
       }
     }
 
-    def run(subset: Array[Int]): Map[Int, Node] = {
+    /** Build the nodes of `edges`: whole components, distinct edge ids. */
+    def run(edges: Array[Int]): Map[Int, Node] = {
+      val anchors = edges.filter(truss(_) == Int.MaxValue)
+      anchors.foreach(a => uf(a) = a)
+      anchors.foreach { a =>
+        g.foreachTriangle(a) { (p, q) =>
+          if (truss(p) == Int.MaxValue && truss(q) == Int.MaxValue) { union(a, p); union(a, q) }
+        }
+      }
+      val members = edges.filter(truss(_) != Int.MaxValue).sorted
       var kMax = 0
-      subset.foreach(e => kMax = math.max(kMax, truss(e)))
+      members.foreach(e => kMax = math.max(kMax, truss(e)))
       val byK = Array.fill(kMax + 1)(mutable.ArrayBuilder.make[Int])
-      subset.sorted.foreach(e => byK(truss(e)) += e)
+      members.foreach(e => byK(truss(e)) += e)
       for (k <- kMax to 0 by -1) {
         val level = byK(k).result()
         if (level.nonEmpty) {

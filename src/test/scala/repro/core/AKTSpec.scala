@@ -43,6 +43,14 @@ class AKTSpec extends AnyFunSuite {
     }
   }
 
+  test("a negative b is rejected with a message naming it; b = 0 anchors nothing") {
+    val g = TestGraphs.random(14, 50, 211)
+    val e = intercept[IllegalArgumentException](AKT.run(g, 3, -1))
+    assert(e.getMessage.contains("b must be non-negative"), e.getMessage)
+    val r = AKT.run(g, 3, 0)
+    assert(r.vertices.isEmpty && r.anchoredEdges.isEmpty && r.globalGain == 0)
+  }
+
   test("sweep covers k in [3, kMax]") {
     val g = TestGraphs.random(14, 50, 211)
     val kMax = LocalTruss.decompose(g).kMax

@@ -51,6 +51,16 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  test("a negative b is rejected with a message naming it; b = 0 gains nothing") {
+    val g = TestGraphs.random(12, 30, 7)
+    for (run <- Seq[Int => Long](Baselines.rand(spark, g, _, 3), Baselines.sup(spark, g, _, 3),
+                                 Baselines.tur(spark, g, _, 3))) {
+      val e = intercept[IllegalArgumentException](run(-1))
+      assert(e.getMessage.contains("b must be non-negative"), e.getMessage)
+      assert(run(0) == 0)
+    }
+  }
+
   test("clique graphs: all baselines report zero gain") {
     val g = TestGraphs.clique(6)
     assert(Baselines.rand(spark, g, 2, 5) == 0)

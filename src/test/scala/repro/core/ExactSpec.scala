@@ -43,6 +43,15 @@ class ExactSpec extends SparkSpec {
     intercept[IllegalArgumentException](Exact.run(spark, TestGraphs.clique(4), -1))
   }
 
+  test("GAS, BASE+ and BASE reject a negative b with a message naming it") {
+    val g = TestGraphs.clique(4)
+    for (run <- Seq[() => Greedy.Result](() => Greedy.gas(spark, g, -1), () => Greedy.basePlus(spark, g, -1),
+                                         () => Greedy.base(spark, g, -1))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("b must be non-negative"), e.getMessage)
+    }
+  }
+
   test("Exp-2: GAS approaches Exact on extracted 150-250 edge subgraphs") {
     // The paper reports GAS >= 90% of Exact *on average* over its extracted
     // subgraphs; the objective is non-submodular (Theorem 2), so single

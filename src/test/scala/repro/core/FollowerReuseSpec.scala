@@ -110,8 +110,7 @@ class FollowerReuseSpec extends AnyFunSuite {
       val at = s"$clue after anchoring $x"
       assert(r.state.truss.sameElements(w.state.truss), s"$at: truss")
       assert(r.state.layer.sameElements(w.state.layer), s"$at: layer")
-      assert(r.state.tree.nodeOf.sameElements(w.state.tree.nodeOf), s"$at: nodeOf")
-      assert(r.state.tree.nodes.keySet == w.state.tree.nodes.keySet, s"$at: node ids")
+      TreeCompare.firstDifference(r.state.tree, w.state.tree).foreach(d => fail(s"$at: tree: $d"))
       for (e <- 0 until g.m) assert(r.state.sla(e).sameElements(w.state.sla(e)), s"$at: sla($e)")
       assert(r.staleNodes == w.staleNodes, s"$at: staleNodes")
       assert(r.invalidatedEdges == w.invalidatedEdges, s"$at: invalidatedEdges")

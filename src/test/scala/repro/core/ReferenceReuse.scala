@@ -5,19 +5,18 @@ import repro.truss.ReferenceTruss
 import scala.collection.mutable
 
 /** Reference implementation of [[FollowerReuse.refresh]] for the property
-  * tests: decompose the whole graph with the reference peel, then find the
-  * dirty edges, the changed edges and the new sla sets by scanning every
-  * edge. The component-local refresh must return the same state, stale
-  * nodes and invalidated edges.
+  * tests: decompose the whole graph with the reference peel, build the tree
+  * from scratch (node ids are smallest edge ids, so they match a rebuilt
+  * tree's), then find the changed edges and the new sla sets by scanning
+  * every edge. The component-local refresh must return the same state,
+  * stale nodes and invalidated edges.
   */
 object ReferenceReuse {
 
   def refresh(g: CompactGraph, prev: FollowerReuse.RoundState, x: Int,
               anchors: Array[Boolean]): FollowerReuse.Refresh = {
     val dec = ReferenceTruss.decompose(g, anchors)
-    val dirty = mutable.HashSet[Int](x)
-    for (e <- 0 until g.m if dec.truss(e) != prev.truss(e) || dec.layer(e) != prev.layer(e)) dirty += e
-    val tree = TrussTree.rebuild(g, dec.truss, prev.tree, dirty)
+    val tree = TrussTree.build(g, dec.truss)
 
     val changed = mutable.HashSet.empty[Int]
     for (e <- 0 until g.m if dec.truss(e) != prev.truss(e) || dec.layer(e) != prev.layer(e) ||

@@ -9,8 +9,9 @@ import scala.util.Random
 /** Structural invariants of the truss component tree (Algorithm 4):
   * partition of edges, uniform trussness per node, parent-child K ordering,
   * subtree = k-truss component, stable smallest-edge-id node ids; and node
-  * for node equality of the one-pass build and of chains of partial
-  * rebuilds with the recursive reference [[RecursiveTrussTree]].
+  * for node equality of the one-pass build with the recursive reference
+  * [[RecursiveTrussTree]], and of chains of partial rebuilds (given the
+  * changed edges, or the new anchor alone) with from-scratch builds.
   */
 class TrussTreeSpec extends AnyFunSuite {
 
@@ -20,35 +21,35 @@ class TrussTreeSpec extends AnyFunSuite {
   }
 
   /** Node for node: same nodeOf, ids, k, parents, edge sets and child sets. */
-  private def assertSameTree(got: TrussTree, want: TrussTree, clue: String): Unit = {
-    assert(got.nodeOf.sameElements(want.nodeOf), clue)
-    assert(got.nodes.keySet == want.nodes.keySet, clue)
-    got.nodes.foreach { case (id, n) =>
-      val w = want.nodes(id)
-      assert(n.id == id && n.k == w.k && n.parent == w.parent, s"$clue node=$id")
-      assert(n.edges.sorted.sameElements(w.edges.sorted), s"$clue node=$id")
-      assert(n.children.sorted.sameElements(w.children.sorted), s"$clue node=$id")
-    }
-  }
+  private def assertSameTree(got: TrussTree, want: TrussTree, clue: String): Unit =
+    TreeCompare.firstDifference(got, want).foreach(d => fail(s"$clue: $d"))
 
-  /** Anchor `xs` one at a time, rebuilding each tree from the previous
-    * rebuilt one with the dirty set `FollowerReuse.refresh` uses, and check
-    * every step against a from-scratch build and the recursive reference.
+  /** Anchor `xs` one at a time and keep two chains of rebuilt trees, each
+    * rebuilt from its own previous tree: one given every edge whose
+    * trussness or layer changed plus the new anchor, one given the new
+    * anchor alone, as `FollowerReuse.refresh` calls it. Check both at every
+    * step against a from-scratch build, and with `reference` the build
+    * against the recursive reference.
     */
-  private def assertRebuildChain(g: CompactGraph, xs: Seq[Int], clue: String): Unit = {
+  private def assertRebuildChain(g: CompactGraph, xs: Seq[Int], clue: String,
+                                 reference: Boolean = true): Unit = {
     val anchors = new Array[Boolean](g.m)
     var dec = LocalTruss.decompose(g)
-    var tree = TrussTree.build(g, dec.truss)
-    assertSameTree(tree, RecursiveTrussTree.build(g, dec.truss), s"$clue unanchored")
+    var byChanged = TrussTree.build(g, dec.truss)
+    var byAnchor = byChanged
+    if (reference) assertSameTree(byChanged, RecursiveTrussTree.build(g, dec.truss), s"$clue unanchored")
     xs.foreach { x =>
       anchors(x) = true
       val next = LocalTruss.decompose(g, anchors)
-      val dirty = (0 until g.m).filter(e =>
-        next.truss(e) != dec.truss(e) || next.layer(e) != dec.layer(e)) :+ x
-      tree = TrussTree.rebuild(g, next.truss, tree, dirty)
+      val changed = (0 until g.m).filter(e => next.truss(e) != dec.truss(e) || next.layer(e) != dec.layer(e))
+      byChanged = TrussTree.rebuild(g, next.truss, byChanged, changed :+ x)
+      byAnchor = TrussTree.rebuild(g, next.truss, byAnchor, Seq(x))
       dec = next
-      assertSameTree(tree, TrussTree.build(g, dec.truss), s"$clue after $x: rebuild vs build")
-      assertSameTree(tree, RecursiveTrussTree.build(g, dec.truss), s"$clue after $x: vs reference")
+      val built = TrussTree.build(g, dec.truss)
+      assertSameTree(byChanged, built, s"$clue after $x: rebuild of the changed edges vs build")
+      assertSameTree(byAnchor, built, s"$clue after $x: rebuild of the anchor alone vs build")
+      if (reference)
+        assertSameTree(built, RecursiveTrussTree.build(g, dec.truss), s"$clue after $x: build vs reference")
     }
   }
 
@@ -182,6 +183,38 @@ class TrussTreeSpec extends AnyFunSuite {
       val xs = new Random(seed).shuffle((0 until g.m).toList).take(5)
       assertRebuildChain(g, xs, s"seed=$seed")
     }
+  }
+
+  test("one rebuild over two components and an edge in no triangle, anchoring and unanchoring them") {
+    var checked = 0
+    for (seed <- 1 to 40) {
+      val g = TestGraphs.random(30, 70, seed * 31 + 2)
+      // the best-supported edge of the two largest components, and the
+      // first edge in no triangle
+      val byComp = (0 until g.m).filter(g.componentOf(_) >= 0).groupBy(g.componentOf)
+      val loose = (0 until g.m).find(g.componentOf(_) == -1)
+      if (byComp.size >= 2 && loose.isDefined) {
+        checked += 1
+        val xs = byComp.values.toSeq.sortBy(c => (-c.size, c.min)).take(2)
+          .map(_.minBy(e => (-g.support(e), e))) :+ loose.get
+        val plain = LocalTruss.decompose(g).truss
+        val anchored = LocalTruss.decompose(g, LocalTruss.anchorMask(g.m, xs)).truss
+        for ((from, to, what) <- Seq((plain, anchored, "anchoring"), (anchored, plain, "unanchoring"))) {
+          val tree = TrussTree.rebuild(g, to, TrussTree.build(g, from), xs)
+          assertSameTree(tree, TrussTree.build(g, to), s"seed=$seed $what $xs: rebuild vs build")
+          assertSameTree(tree, RecursiveTrussTree.build(g, to), s"seed=$seed $what $xs: vs reference")
+        }
+      }
+    }
+    assert(checked >= 10, s"only $checked graphs had two components and an edge in no triangle")
+  }
+
+  test("rebuilds equal builds on pokec, anchoring its top-support edges") {
+    // pokec's components are small (none above 579 edges), so each rebuild
+    // redoes a sliver of the tree
+    val g = GraphGen.graph("pokec")
+    val xs = (0 until g.m).sortBy(e => (-g.support(e), e)).take(20)
+    assertRebuildChain(g, xs, "pokec", reference = false)
   }
 
   test("the one-pass build equals the recursive reference on random graphs with 0-7 anchors") {
