@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Greedy, TreeCompare, TrussTree}
+import repro.core.{Greedy, TrussTree}
 import repro.graph.{CompactGraph, GraphGen}
 import repro.truss.LocalTruss
 
@@ -11,15 +11,16 @@ import repro.truss.LocalTruss
   * every rebuild redoes it); pokec follows its 20 top-support edges (no
   * component above a few hundred edges, so a rebuild redoes a sliver).
   * Each step rebuilds the tree from the previous one with the new anchor
-  * as the only dirty edge, as `FollowerReuse.refresh` does, asserts it
-  * equal to a from-scratch build node for node, and times both.
+  * as the only dirty edge, as `FollowerReuse.refresh` does, and builds it
+  * from scratch; both are timed. That the two trees are equal is
+  * `TrussTreeSpec`'s to check.
   */
 class TreeRebuildBench extends SparkSpec {
 
   private val b = 20
 
   /** Summed rebuild and build ms along the chain `xs`. */
-  private def chain(g: CompactGraph, xs: Seq[Int], clue: String): (Double, Double) = {
+  private def chain(g: CompactGraph, xs: Seq[Int]): (Double, Double) = {
     val anchors = new Array[Boolean](g.m)
     var tree = TrussTree.build(g, LocalTruss.decompose(g).truss)
     var rebuildNs = 0L
@@ -30,21 +31,20 @@ class TreeRebuildBench extends SparkSpec {
       val t0 = System.nanoTime()
       tree = TrussTree.rebuild(g, truss, tree, Seq(x))
       val t1 = System.nanoTime()
-      val built = TrussTree.build(g, truss)
+      TrussTree.build(g, truss)
       buildNs += System.nanoTime() - t1
       rebuildNs += t1 - t0
-      TreeCompare.firstDifference(tree, built).foreach(d => fail(s"$clue after $x: $d"))
     }
     (rebuildNs / 1e6, buildNs / 1e6)
   }
 
-  test("tree rebuild chains equal from-scratch builds on facebook and pokec, seeds 3 and 7") {
+  test("tree rebuild and build times along 20-anchor chains on facebook and pokec, seeds 3 and 7") {
     val rows = for (name <- Seq("facebook", "pokec"); seed <- Seq(3L, 7L)) yield {
       val g = GraphGen.graph(GraphGen.preset(name).copy(seed = seed))
       val (xs, route) =
         if (name == "facebook") (Greedy.gas(spark, g, b).anchors, "GAS anchors")
         else ((0 until g.m).sortBy(e => (-g.support(e), e)).take(b), "top-support edges")
-      val (rebuildMs, buildMs) = chain(g, xs, s"$name seed=$seed")
+      val (rebuildMs, buildMs) = chain(g, xs)
       (name, seed, g.m, route, rebuildMs, buildMs)
     }
     println(s"\n=== Truss-component tree: $b-anchor chains, summed ms ===")

@@ -119,13 +119,19 @@ object GraphGen {
     * the paper): grow a vertex set from a seed vertex by repeatedly adding a
     * frontier vertex and its neighbors, stopping when the induced edge count
     * reaches [lo, hi]. Returns the induced subgraph re-labelled to dense ids.
-    * The induced edge count is kept as the set grows: a joining vertex adds
-    * its edges to the vertices already in.
     */
   def extractSubgraph(g: CompactGraph, seedVertex: Int, lo: Int, hi: Int): CompactGraph = {
     val inSet = mutable.LinkedHashSet[Int](seedVertex)
     val queue = mutable.Queue[Int](seedVertex)
-    var induced = 0
+    def inducedEdgeCount: Int = {
+      var c = 0
+      var e = 0
+      while (e < g.m) {
+        if (inSet.contains(g.edgeU(e)) && inSet.contains(g.edgeV(e))) c += 1
+        e += 1
+      }
+      c
+    }
     var done = false
     while (!done && queue.nonEmpty) {
       val u = queue.dequeue()
@@ -133,10 +139,8 @@ object GraphGen {
       while (i < g.adjOff(u + 1) && !done) {
         val w = g.adjV(i)
         if (!inSet.contains(w)) {
-          var j = g.adjOff(w)
-          while (j < g.adjOff(w + 1)) { if (inSet.contains(g.adjV(j))) induced += 1; j += 1 }
           inSet += w; queue += w
-          if (induced >= lo) done = true
+          if (inducedEdgeCount >= lo) done = true
         }
         i += 1
       }

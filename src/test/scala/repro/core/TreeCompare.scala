@@ -1,7 +1,7 @@
 package repro.core
 
 /** Node for node comparison of two truss-component trees, shared by the
-  * tree and reuse property tests and the tree benchmark.
+  * tree and reuse property tests.
   */
 object TreeCompare {
 
