@@ -17,8 +17,13 @@ object Exact {
 
   final case class Result(anchors: Seq[Int], gain: Long, combosTried: Long)
 
-  /** Best first: max gain, then the smallest id sequence as a string. */
-  private def rank(ids: Array[Int], gain: Long): (Long, String) = (-gain, ids.toSeq.toString)
+  /** Best first: max gain, then the numerically smallest id sequence, as
+    * the greedy breaks ties.
+    */
+  private val bestFirst: Ordering[(Array[Int], Long)] = (a, b) => {
+    val byGain = java.lang.Long.compare(b._2, a._2)
+    if (byGain != 0) byGain else java.util.Arrays.compare(a._1, b._1)
+  }
 
   def run(spark: SparkSession, g: CompactGraph, b: Int): Result = {
     require(b >= 0, s"b must be non-negative, got $b")
@@ -32,10 +37,10 @@ object Exact {
           tried += 1
           val ids = (first +: rest).toArray
           (ids, LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, ids)))
-        }.minBy { case (ids, gain) => rank(ids, gain) }
+        }.min(bestFirst)
         (ids, gain, tried)
       }
-      val (ids, gain, _) = best.minBy { case (ids, gain, _) => rank(ids, gain) }
+      val (ids, gain, _) = best.minBy { case (ids, gain, _) => (ids, gain) }(bestFirst)
       Result(ids.toSeq, gain, best.iterator.map(_._3).sum)
     }
   }

@@ -45,47 +45,33 @@ object FollowerReuse {
   def initial(g: CompactGraph, anchors: Array[Boolean]): RoundState = {
     val dec = LocalTruss.decompose(g, anchors)
     val tree = TrussTree.build(g, dec.truss)
-    val sla = Array.tabulate(g.m) { e =>
-      if (dec.truss(e) == Int.MaxValue) Array.empty[Int]
-      else TrussTree.sla(g, dec.truss, tree.nodeOf, e)
-    }
+    val sla = Array.tabulate(g.m)(TrussTree.sla(g, dec.truss, tree.nodeOf, _))
     RoundState(dec.truss, dec.layer, tree, sla)
   }
 
   /** Refresh after anchoring `x` (anchors mask already includes `x`).
     *
     * Anchoring `x` moves supports only through triangles, so trussness and
-    * layers can change only inside x's triangle-connected component. That
-    * component alone is re-peeled and spliced into copies of the previous
-    * arrays; the tree rebuild, the diffs and the sla updates run over it
-    * only.
+    * layers can change only inside x's triangle-connected component (x
+    * alone, if it lies in no triangle). That component alone is re-peeled
+    * and spliced into copies of the previous arrays; the tree rebuild, the
+    * diffs and the sla updates run over it only.
     * Equal to a full re-decomposition with whole-graph diffs (asserted by
     * property tests against that reference).
     */
   def refresh(g: CompactGraph, prev: RoundState, x: Int,
               anchors: Array[Boolean]): Refresh = {
-    val xComp = g.componentOf(x)
-    val dec = LocalTruss.decomposeComponents(g, anchors, if (xComp < 0) Array.empty[Int] else Array(xComp))
-    val comp = dec.ids
+    val dec = LocalTruss.decomposeAround(g, anchors, Seq(x))
     val truss = prev.truss.clone()
     val layer = prev.layer.clone()
-    truss(x) = Int.MaxValue // peeled with its component, if it lies in a triangle
-    layer(x) = 0
-    var i = 0
-    while (i < comp.length) {
-      truss(comp(i)) = dec.truss(i)
-      layer(comp(i)) = dec.layer(i)
-      i += 1
-    }
+    dec.writeTo(truss, layer)
     // every edge whose trussness changed lies in x's component, so
-    // rebuilding that component (or x alone, in no triangle) is enough
+    // rebuilding that component is enough
     val tree = TrussTree.rebuild(g, truss, prev.tree, Seq(x))
 
     // edges whose decomposition outcome or node assignment changed
-    val changed = mutable.HashSet[Int](x)
-    comp.foreach { e =>
-      if (truss(e) != prev.truss(e) || layer(e) != prev.layer(e) ||
-          tree.nodeOf(e) != prev.tree.nodeOf(e)) changed += e
+    val changed = dec.ids.filter { e =>
+      truss(e) != prev.truss(e) || layer(e) != prev.layer(e) || tree.nodeOf(e) != prev.tree.nodeOf(e)
     }
 
     val stale = mutable.HashSet.empty[Int]
@@ -104,11 +90,7 @@ object FollowerReuse {
       g.foreachTriangle(c) { (a, b) => slaDirty += a; slaDirty += b }
     }
     val sla = prev.sla.clone()
-    slaDirty.foreach { e =>
-      sla(e) =
-        if (truss(e) == Int.MaxValue) Array.empty[Int]
-        else TrussTree.sla(g, truss, tree.nodeOf, e)
-    }
+    slaDirty.foreach(e => sla(e) = TrussTree.sla(g, truss, tree.nodeOf, e))
 
     val invalidatedEdges = changed.filter(c => !anchors(c)).toSet
     Refresh(RoundState(truss, layer, tree, sla), stale.toSet, invalidatedEdges)

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.graph.CompactGraph
+import repro.truss.LocalTruss.AnchorTruss
 import scala.collection.mutable
 
 /** Result of a follower computation for one candidate anchor.
@@ -35,7 +36,7 @@ final case class FindResult(followers: Array[Int], routeSize: Int,
   * many candidates cheaply; a [[Sweep]] creates one per Spark task over
   * the broadcast graph.
   *
-  * Previously anchored edges carry trussness `Int.MaxValue` in the input
+  * Previously anchored edges carry trussness `AnchorTruss` in the input
   * array: they always count as survived support providers and are never
   * candidates or followers.
   */
@@ -57,7 +58,7 @@ final class FollowerFinder(g: CompactGraph) {
 
   /** Compute the followers of anchoring edge `x`.
     *
-    * @param truss     trussness per edge (Int.MaxValue for existing anchors)
+    * @param truss     trussness per edge (AnchorTruss for existing anchors)
     * @param layer     deletion layer per edge (paper's l(e))
     * @param x         candidate anchor edge id (must not be an anchor)
     * @param nodeOf    optional truss-tree node id per edge (for GAS reuse)
@@ -80,7 +81,7 @@ final class FollowerFinder(g: CompactGraph) {
                 nodeOf: Array[Int] = null,
                 allowNode: Int => Boolean = null,
                 onlyLevel: Int = -1): FindResult = {
-    def isAnchor(e: Int): Boolean = truss(e) == Int.MaxValue
+    def isAnchor(e: Int): Boolean = truss(e) == AnchorTruss
     xs.foreach { x =>
       require(!isAnchor(x), s"edge $x is already an anchor")
       isCand(x) = true
@@ -124,7 +125,7 @@ final class FollowerFinder(g: CompactGraph) {
                            followers: mutable.ArrayBuffer[Int],
                            perNode: mutable.HashMap[Int, Int],
                            nodeOf: Array[Int]): Int = {
-    def isAnchor(e: Int): Boolean = truss(e) == Int.MaxValue
+    def isAnchor(e: Int): Boolean = truss(e) == AnchorTruss
 
     // Can neighbor `z` (with status `zStatus`) support checker `c` in an
     // effective triangle? (Definition 8 conditions (ii)/(iii); edges below

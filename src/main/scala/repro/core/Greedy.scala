@@ -42,11 +42,21 @@ object Greedy {
     def totalEvaluations: Long = rounds.map(_.evaluated.toLong).sum
   }
 
-  /** Algorithm 2: full truss decomposition per candidate per round. */
+  /** Algorithm 2: an anchored truss decomposition per candidate per round.
+    * The round's decomposition already holds the earlier anchors, so each
+    * candidate peels only its own component. Each task toggles the
+    * candidate in its own clone of the anchor mask: the broadcast mask is
+    * shared by every task in an executor JVM.
+    */
   def base(spark: SparkSession, g: CompactGraph, b: Int): Result =
-    select(spark, g, b)(sweepAll(spark, g, (graph, dec, anchors) => { e =>
-      val mask = anchors.clone(); mask(e) = true
-      LocalTruss.trussGain(graph, dec, mask)
+    select(spark, g, b)(sweepAll(spark, g, (graph, dec, anchors) => {
+      val mask = anchors.clone()
+      e => {
+        mask(e) = true
+        val gain = LocalTruss.trussGain(graph, dec, mask)
+        mask(e) = false
+        gain
+      }
     }))
 
   /** BASE with upward-route/support-check follower computation (Alg. 3). */

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.graph.CompactGraph
+import repro.truss.LocalTruss.AnchorTruss
 import scala.collection.mutable
 
 /** The truss component tree (paper's Algorithm 4 / Table II).
@@ -12,13 +13,13 @@ import scala.collection.mutable
   * deterministic and stable: a node whose edge set is unchanged across a
   * rebuild keeps its id, which is what the GAS reuse bookkeeping keys on.
   *
-  * Anchored edges (trussness Int.MaxValue) participate in triangle
+  * Anchored edges (trussness `LocalTruss.AnchorTruss`) participate in triangle
   * connectivity at *every* level — an anchor bridging two components merges
   * them, exactly as it does for follower propagation — but belong to no
   * node (`nodeOf = -1`).
   *
   * Each top-level node's subtree is one triangle-connected component of the
-  * whole edge set (`CompactGraph.componentOf`), or one edge in no triangle:
+  * whole edge set (`CompactGraph.componentEdges`), or one edge in no triangle:
   * at the lowest trussness in a component every edge is in, so the whole
   * component is one class. Components ignore trussness, so anchoring never
   * changes them; [[TrussTree.rebuild]] reruns the construction pass over the
@@ -69,7 +70,7 @@ object TrussTree {
 
   /** Build the full tree for graph `g` under trussness `truss` (paper's
     * Algorithm 4, virtual empty root). Anchors are edges with
-    * `truss(e) == Int.MaxValue`.
+    * `truss(e) == LocalTruss.AnchorTruss`.
     */
   def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
     val nodeOf = Array.fill(g.m)(-1)
@@ -86,14 +87,7 @@ object TrussTree {
     */
   def rebuild(g: CompactGraph, truss: Array[Int], prev: TrussTree,
               dirty: Iterable[Int]): TrussTree = {
-    val comps = mutable.HashSet.empty[Int]
-    val edges = mutable.ArrayBuilder.make[Int]
-    dirty.iterator.distinct.foreach { e =>
-      val c = g.componentOf(e)
-      if (c == -1) edges += e
-      else if (comps.add(c)) edges.addAll(g.compEdges, g.compOff(c), g.compOff(c + 1) - g.compOff(c))
-    }
-    val redo = edges.result()
+    val redo = g.componentEdges(dirty)
     val nodeOf = prev.nodeOf.clone()
     redo.foreach(nodeOf(_) = -1)
     val rebuilt = new Pass(g, truss, nodeOf).run(redo)
@@ -178,14 +172,14 @@ object TrussTree {
 
     /** Build the nodes of `edges`: whole components, distinct edge ids. */
     def run(edges: Array[Int]): Map[Int, Node] = {
-      val anchors = edges.filter(truss(_) == Int.MaxValue)
+      val anchors = edges.filter(truss(_) == AnchorTruss)
       anchors.foreach(a => uf(a) = a)
       anchors.foreach { a =>
         g.foreachTriangle(a) { (p, q) =>
-          if (truss(p) == Int.MaxValue && truss(q) == Int.MaxValue) { union(a, p); union(a, q) }
+          if (truss(p) == AnchorTruss && truss(q) == AnchorTruss) { union(a, p); union(a, q) }
         }
       }
-      val members = edges.filter(truss(_) != Int.MaxValue).sorted
+      val members = edges.filter(truss(_) != AnchorTruss).sorted
       var kMax = 0
       members.foreach(e => kMax = math.max(kMax, truss(e)))
       val byK = Array.fill(kMax + 1)(mutable.ArrayBuilder.make[Int])
@@ -210,8 +204,8 @@ object TrussTree {
     val te = truss(e)
     val out = mutable.SortedSet.empty[Int]
     g.foreachTriangle(e) { (a, b) =>
-      if (truss(a) >= te && truss(a) != Int.MaxValue) out += nodeOf(a)
-      if (truss(b) >= te && truss(b) != Int.MaxValue) out += nodeOf(b)
+      if (truss(a) >= te && truss(a) != AnchorTruss) out += nodeOf(a)
+      if (truss(b) >= te && truss(b) != AnchorTruss) out += nodeOf(b)
     }
     out.toArray
   }

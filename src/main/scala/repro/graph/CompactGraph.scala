@@ -1,5 +1,7 @@
 package repro.graph
 
+import scala.collection.mutable
+
 /** Immutable CSR representation of an undirected simple graph.
   *
   * Edges are canonical (`u < v`) and densely numbered `0 until m`; vertices
@@ -22,7 +24,9 @@ package repro.graph
   * are most of the edges (54k of the pokec stand-in's 70k), so leaving them
   * out more than halves the index there. Anchoring an edge moves supports
   * only through triangles, so only its own component can change trussness
-  * or layers; the peel runs per component on this index.
+  * or layers. This class is the one place that maps edges to components:
+  * [[componentEdges]] gives the peel, the GAS refresh and the tree rebuild
+  * the components an anchor can reach.
   *
   * The structure is serializable and small (5 int arrays), so it is broadcast
   * to executors for the bulk-parallel follower computations. Both indexes
@@ -112,6 +116,22 @@ final class CompactGraph(
     }
   }
 
+  /** The edges of the triangle-connected components that hold `edges`:
+    * each component once and whole, its edges in [[compEdges]] order,
+    * components in the order `edges` first reaches them. An edge in no
+    * triangle stands alone, as the one edge of its own component.
+    */
+  private[repro] def componentEdges(edges: Iterable[Int]): Array[Int] = {
+    val seen = mutable.HashSet.empty[Int] // component ids, and -1-e for a lone edge e
+    val out = mutable.ArrayBuilder.make[Int]
+    edges.foreach { e =>
+      val c = componentOf(e)
+      if (c < 0) { if (seen.add(-1 - e)) out += e }
+      else if (seen.add(c)) out.addAll(compEdges, compOff(c), compOff(c + 1) - compOff(c))
+    }
+    out.result()
+  }
+
   /** All edge ids incident to vertex u. */
   def incidentEdges(u: Int): Seq[Int] =
     (adjOff(u) until adjOff(u + 1)).map(adjE)
@@ -138,8 +158,7 @@ object CompactGraph {
       .distinct
       .sorted
     val m = canon.length
-    val n = if (m == 0 && raw.isEmpty) 0
-            else (canon.iterator.map(_._2) ++ raw.iterator.flatMap(t => Iterator(t._1, t._2))).max + 1
+    val n = if (raw.isEmpty) 0 else raw.iterator.flatMap(t => Iterator(t._1, t._2)).max + 1
     val edgeU = new Array[Int](m)
     val edgeV = new Array[Int](m)
     var e = 0
@@ -153,20 +172,15 @@ object CompactGraph {
     val cursor = java.util.Arrays.copyOf(adjOff, n)
     val adjV = new Array[Int](2 * m)
     val adjE = new Array[Int](2 * m)
-    // canon is sorted by (u,v): filling u-slots in order keeps each u's run
-    // sorted by neighbor; v-slots get neighbors u in increasing u order but
-    // interleaved with later v-neighbors, so sort each run at the end.
+    // canon is sorted by (u,v), so vertex x's run is filled sorted: first its
+    // smaller neighbors u, ascending, from the edges (u,x) of the blocks
+    // u < x, then its larger ones, ascending, from its own block (x,v).
     e = 0
     while (e < m) {
       val a = edgeU(e); val b = edgeV(e)
       adjV(cursor(a)) = b; adjE(cursor(a)) = e; cursor(a) += 1
       adjV(cursor(b)) = a; adjE(cursor(b)) = e; cursor(b) += 1
       e += 1
-    }
-    u = 0
-    while (u < n) {
-      sortRun(adjV, adjE, adjOff(u), adjOff(u + 1))
-      u += 1
     }
     new CompactGraph(n, m, edgeU, edgeV, adjOff, adjV, adjE)
   }
@@ -276,19 +290,5 @@ object CompactGraph {
       e += 1
     }
     new Components(off, edges, slot)
-  }
-
-  /** Insertion sort of the (adjV, adjE) parallel slice [from, until) by adjV.
-    * Runs are nearly sorted already (u-side fully sorted), so this is cheap.
-    */
-  private def sortRun(vs: Array[Int], es: Array[Int], from: Int, until: Int): Unit = {
-    var i = from + 1
-    while (i < until) {
-      val v = vs(i); val e = es(i)
-      var j = i - 1
-      while (j >= from && vs(j) > v) { vs(j + 1) = vs(j); es(j + 1) = es(j); j -= 1 }
-      vs(j + 1) = v; es(j + 1) = e
-      i += 1
-    }
   }
 }

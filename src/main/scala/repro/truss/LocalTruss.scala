@@ -13,14 +13,18 @@ import scala.collection.mutable
   *    sweep.
   *  - **anchors**: anchored edges have `sup = +∞` conceptually — they are
   *    never removed, keep providing triangles at every phase, and receive
-  *    `truss = Int.MaxValue`, `layer = 0` in the output.
+  *    `truss = AnchorTruss` (`Int.MaxValue`), `layer = 0` in the output. This
+  *    object owns that encoding; every other module compares against
+  *    [[AnchorTruss]].
   *
   * Every decomposition is one peel over whole triangle-connected components
   * of the graph ([[CompactGraph]]'s component index). A removal changes
   * supports only through triangles, and a triangle's three edges share a
   * component, so each component peels exactly as it would inside the whole
-  * graph, sweep for sweep: `decompose` peels all of them, `trussGain` only
-  * those holding an anchor, and the GAS refresh only the new anchor's.
+  * graph, sweep for sweep: `decompose` peels all of them, while `trussGain`
+  * and the GAS refresh peel only the components a new anchor reaches
+  * ([[decomposeAround]]) and splice them into whole-graph arrays
+  * ([[Local.writeTo]]).
   *
   * This kernel runs on the driver and inside Spark tasks (over a broadcast
   * [[CompactGraph]]).
@@ -32,7 +36,10 @@ object LocalTruss {
     */
   final case class Result(truss: Array[Int], layer: Array[Int], kMax: Int)
 
-  val AnchorTruss: Int = Int.MaxValue
+  /** An anchor's trussness. A constant, so the follower and tree loops that
+    * compare against it compile to a literal.
+    */
+  final val AnchorTruss = Int.MaxValue
 
   /** Decompose `g`; edges whose id is in `anchors` (a mask of length m,
     * or null for none) are never removed. Runs the component peel over
@@ -50,35 +57,27 @@ object LocalTruss {
       else { truss(e) = 2; layer(e) = 1 }
       e += 1
     }
-    var i = 0
-    while (i < local.ids.length) {
-      truss(local.ids(i)) = local.truss(i)
-      layer(local.ids(i)) = local.layer(i)
-      i += 1
-    }
+    local.writeTo(truss, layer)
     Result(truss, layer, local.kMax)
   }
 
   /** Trussness gain of anchoring `anchors` relative to the base decomposition
     * `base` (paper's Definition 4): Σ over non-anchored edges of the
     * trussness increment. `base` is the decomposition of `g` under a subset
-    * of `anchors` (or none): outside the components that hold an anchor the
-    * two agree, so only those components are peeled, in O(T_C + m_C) for
-    * their T_C triangles and m_C edges, after an O(m) scan of the mask.
+    * of `anchors` (or none). A component whose anchors all are anchors in
+    * `base` peels exactly as in `base` and adds 0, so only the components
+    * of the anchors new to `base` are peeled, in O(T_C + m_C) for their T_C
+    * triangles and m_C edges, after an O(m) scan of the mask.
     */
   def trussGain(g: CompactGraph, base: Result, anchors: Array[Boolean]): Long = {
     checkMask(g, anchors)
-    // an anchor in no triangle changes no trussness
-    val comps = mutable.SortedSet.empty[Int]
+    val fresh = mutable.ArrayBuilder.make[Int]
     var e = 0
     while (e < g.m) {
-      if (anchors(e)) {
-        val c = g.componentOf(e)
-        if (c >= 0) comps += c
-      }
+      if (anchors(e) && base.truss(e) != AnchorTruss) fresh += e
       e += 1
     }
-    val after = decomposeComponents(g, anchors, comps.toArray)
+    val after = decomposeAround(g, anchors, fresh.result())
     var gain = 0L
     var i = 0
     while (i < after.ids.length) {
@@ -93,26 +92,27 @@ object LocalTruss {
     * `truss(i)` and `layer(i)` belong to edge `ids(i)`.
     */
   private[repro] final class Local(val ids: Array[Int], val truss: Array[Int],
-                                   val layer: Array[Int], val kMax: Int)
-
-  /** Decompose only the components `comps` (distinct ids of `g`'s
-    * component index): their edges get the trussness and layer that a
-    * decomposition of all of `g` gives them, since no triangle crosses a
-    * component boundary.
-    */
-  private[repro] def decomposeComponents(g: CompactGraph, anchors: Array[Boolean],
-                                         comps: Array[Int]): Local = {
-    val off = g.compOff
-    var n = 0
-    comps.foreach(c => n += off(c + 1) - off(c))
-    val ids = new Array[Int](n)
-    n = 0
-    comps.foreach { c =>
-      System.arraycopy(g.compEdges, off(c), ids, n, off(c + 1) - off(c))
-      n += off(c + 1) - off(c)
+                                   val layer: Array[Int], val kMax: Int) {
+    /** Splice into whole-graph arrays: `truss(ids(i)) = this.truss(i)`, and
+      * the same for layers.
+      */
+    def writeTo(truss: Array[Int], layer: Array[Int]): Unit = {
+      var i = 0
+      while (i < ids.length) {
+        truss(ids(i)) = this.truss(i)
+        layer(ids(i)) = this.layer(i)
+        i += 1
+      }
     }
-    peel(g, checkMask(g, anchors), ids)
   }
+
+  /** Decompose only the triangle-connected components that hold `edges`
+    * (an edge in no triangle alone): their edges get the trussness and
+    * layer that a decomposition of all of `g` gives them, since no triangle
+    * crosses a component boundary.
+    */
+  private[repro] def decomposeAround(g: CompactGraph, anchors: Array[Boolean], edges: Iterable[Int]): Local =
+    peel(g, checkMask(g, anchors), g.componentEdges(edges))
 
   private def checkMask(g: CompactGraph, anchors: Array[Boolean]): Array[Boolean] = {
     require(anchors.length == g.m,
@@ -121,7 +121,9 @@ object LocalTruss {
   }
 
   /** The peel of the whole components whose edges are `ids`, each
-    * component's edges in the order of `g.compEdges`. Supports and triangles
+    * component's edges in the order of `g.compEdges`, an edge in no triangle
+    * as a component of its own (it has no triangles, so it goes in sweep 1
+    * of phase 2, or stays if it is an anchor). Supports and triangles
     * come from the graph's triangle index; a co-edge of `ids(i)` shares its
     * component, so it sits at local index `compSlot(co) + i - compSlot(ids(i))`.
     * Each phase k is seeded from the alive non-anchor edges, in local order,

@@ -31,6 +31,21 @@ class ExactSpec extends SparkSpec {
     }
   }
 
+  test("Exact breaks ties by the numerically smallest id sequence, as the greedy does") {
+    // on these graphs the best gain at b=2 is reached by pairs that a string
+    // comparison would order differently from a numeric one
+    for (seed <- Seq(1243, 2486, 4407)) {
+      val g = TestGraphs.random(12, 35, seed)
+      val base = LocalTruss.decompose(g)
+      // combinations come in lexicographic order, so the first optimum is the smallest
+      val scored = (0 until g.m).combinations(2).toSeq.map(ids => ids -> LocalTruss.trussGain(g, base, LocalTruss.anchorMask(g.m, ids)))
+      val best = scored.map(_._2).max
+      val smallest = scored.find(_._2 == best).get._1
+      val ex = Exact.run(spark, g, 2)
+      assert(ex.gain == best && ex.anchors == smallest, s"seed=$seed exact=${ex.anchors} smallest optimum=$smallest")
+    }
+  }
+
   test("Exact equals GAS at b = 0, b = m and b > m; negative b is rejected") {
     for (g <- Seq(TestGraphs.clique(4), TestGraphs.random(7, 12, 5))) {
       for (b <- Seq(0, g.m, g.m + 2)) {

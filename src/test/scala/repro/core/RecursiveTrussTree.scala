@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.graph.CompactGraph
+import repro.truss.LocalTruss.AnchorTruss
 import scala.collection.mutable
 
 /** Reference implementation of [[TrussTree.build]] for the property tests:
@@ -12,7 +13,7 @@ import scala.collection.mutable
 object RecursiveTrussTree {
 
   def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
-    val top = (0 until g.m).filter(truss(_) != Int.MaxValue).toArray
+    val top = (0 until g.m).filter(truss(_) != AnchorTruss).toArray
     val nodeOf = Array.fill(g.m)(-1)
     val nodes = new Builder(g, truss).buildInto(top, nodeOf)
     new TrussTree(nodes, nodeOf)
@@ -21,7 +22,7 @@ object RecursiveTrussTree {
   private final class Builder(g: CompactGraph, truss: Array[Int]) {
     private val inCur = new Array[Boolean](g.m)
     private val uf = new Array[Int](g.m)
-    private val anchorIds = (0 until g.m).filter(truss(_) == Int.MaxValue).toArray
+    private val anchorIds = (0 until g.m).filter(truss(_) == AnchorTruss).toArray
 
     private def find(e: Int): Int = {
       var r = e

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.CompactGraph
-import repro.truss.ReferenceTruss
+import repro.truss.{LocalTruss, ReferenceTruss}
 import scala.collection.mutable
 
 /** Reference implementation of [[FollowerReuse.refresh]] for the property
@@ -37,7 +37,7 @@ object ReferenceReuse {
       g.foreachTriangle(c) { (a, b) => slaDirty += a; slaDirty += b }
     }
     val sla = Array.tabulate(g.m) { e =>
-      if (dec.truss(e) == Int.MaxValue) Array.empty[Int]
+      if (dec.truss(e) == LocalTruss.AnchorTruss) Array.empty[Int]
       else if (slaDirty.contains(e)) TrussTree.sla(g, dec.truss, tree.nodeOf, e)
       else prev.sla(e)
     }

@@ -69,7 +69,7 @@ class TrussTreeSpec extends AnyFunSuite {
         if (anchors(e)) assert(tree.nodeOf(e) == -1)
         else assert(seen.contains(e))
       }
-      assert(dec.truss(seed % g.m) == Int.MaxValue)
+      assert(dec.truss(seed % g.m) == LocalTruss.AnchorTruss)
     }
   }
 
@@ -257,16 +257,19 @@ class TrussTreeSpec extends AnyFunSuite {
   }
 
   test("sla contains the nodes of all >=-trussness neighbor edges") {
-    for (seed <- 1 to 10) {
+    // unanchored, and anchored: an anchor's sla is empty, and anchored
+    // neighbor edges (no node) are skipped
+    for (seed <- 1 to 10; anchored <- Seq(false, true)) {
       val g = TestGraphs.random(12, 40, seed * 19 + 7)
-      val (dec, tree) = buildFor(g)
+      val anchors = LocalTruss.anchorMask(g.m, if (anchored) Seq(seed % g.m, g.m / 2, g.m - 1) else Nil)
+      val (dec, tree) = buildFor(g, anchors)
       for (e <- 0 until g.m) {
         val want = scala.collection.mutable.SortedSet.empty[Int]
-        g.foreachTriangle(e) { (a, b) =>
-          if (dec.truss(a) >= dec.truss(e)) want += tree.nodeOf(a)
-          if (dec.truss(b) >= dec.truss(e)) want += tree.nodeOf(b)
+        if (!anchors(e)) g.foreachTriangle(e) { (a, b) =>
+          if (!anchors(a) && dec.truss(a) >= dec.truss(e)) want += tree.nodeOf(a)
+          if (!anchors(b) && dec.truss(b) >= dec.truss(e)) want += tree.nodeOf(b)
         }
-        assert(TrussTree.sla(g, dec.truss, tree.nodeOf, e).toSeq == want.toSeq)
+        assert(TrussTree.sla(g, dec.truss, tree.nodeOf, e).toSeq == want.toSeq, s"seed=$seed anchored=$anchored e=$e")
       }
     }
   }

@@ -20,16 +20,31 @@ class CompactGraphSpec extends SparkSpec {
   }
 
   test("adjacency runs are sorted and degree-consistent") {
-    for (seed <- 1 to 20) {
+    // canonical pairs, the same edges as a raw list with reversed pairs,
+    // duplicates and self-loops, and ScalaCheck-random raw lists
+    val graphs = (1 to 20).flatMap { seed =>
       val g = TestGraphs.random(15, 60, seed)
+      val rnd = new scala.util.Random(seed)
+      val messy = (0 until g.m).map(g.endpoints).flatMap { case (u, v) => Seq((v, u), (u, v)).take(1 + rnd.nextInt(2)) } ++
+        Seq.fill(5)(rnd.nextInt(g.n)).map(v => (v, v))
+      val raw = CompactGraph.fromEdges(rnd.shuffle(messy))
+      assert(raw.m == g.m && raw.n == g.n && raw.edgeU.sameElements(g.edgeU) && raw.edgeV.sameElements(g.edgeV))
+      Seq(s"random seed=$seed" -> g, s"raw seed=$seed" -> raw)
+    } ++ (1 to 20).map { s =>
+      val edges = Gen.listOfN(40, Gen.zip(Gen.choose(0, 9), Gen.choose(0, 9))).pureApply(Gen.Parameters.default, Seed(s.toLong))
+      s"scalacheck seed=$s" -> CompactGraph.fromEdges(edges)
+    }
+    for ((name, g) <- graphs) {
       var degSum = 0
       for (u <- 0 until g.n) {
         degSum += g.degree(u)
         val run = (g.adjOff(u) until g.adjOff(u + 1)).map(g.adjV)
-        assert(run == run.sorted, s"seed=$seed u=$u run=$run")
+        assert(run == run.sorted, s"$name u=$u run=$run")
         assert(run.distinct == run)
+        for (i <- g.adjOff(u) until g.adjOff(u + 1))
+          assert(Set(g.edgeU(g.adjE(i)), g.edgeV(g.adjE(i))) == Set(u, g.adjV(i)), s"$name u=$u slot=$i")
       }
-      assert(degSum == 2 * g.m)
+      assert(degSum == 2 * g.m, name)
     }
   }
 
@@ -212,6 +227,26 @@ class CompactGraphSpec extends SparkSpec {
       g.foreachTriangle(e) { (a, b) =>
         assert(g.componentOf(a) == g.componentOf(e) && g.componentOf(b) == g.componentOf(e), s"edge $e")
       }
+  }
+
+  test("componentEdges returns each reached component once, whole, an edge in no triangle alone") {
+    val graphs = (1 to 30).map(s => s"random-$s" -> TestGraphs.random(16, 30 + 2 * s, s * 37)) ++
+      Seq("college", "pokec").map(n => n -> GraphGen.graph(n))
+    for ((name, g) <- graphs) {
+      val reference = ReferenceTruss.components(g) // singletons included
+      val compOf = new Array[Seq[Int]](g.m)
+      reference.foreach(c => c.foreach(compOf(_) = c))
+      val rnd = new scala.util.Random(name.hashCode)
+      val lone = (0 until g.m).filter(g.support(_) == 0)
+      for (trial <- 1 to 20) {
+        // duplicates, and edges in no triangle, on purpose
+        val picked = Seq.fill(1 + rnd.nextInt(6))(rnd.nextInt(g.m))
+        val edges = rnd.shuffle(picked ++ picked.take(2) ++ Seq.fill(if (lone.isEmpty) 0 else 2)(lone(rnd.nextInt(lone.length))))
+        val want = edges.map(compOf).distinct.flatten
+        assert(g.componentEdges(edges).toSeq == want, s"$name trial=$trial edges=$edges")
+      }
+      assert(g.componentEdges(Nil).isEmpty, name)
+    }
   }
 
   test("a Java-serialized graph rebuilds the same component index; the index is not written") {

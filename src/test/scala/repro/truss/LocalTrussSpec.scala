@@ -232,13 +232,24 @@ class LocalTrussSpec extends AnyFunSuite {
   private def topFifth(score: Array[Int]): Array[Int] =
     score.indices.sortBy(e => (-score(e), e)).take(math.max(1, score.length / 5)).toArray
 
+  /** The decomposition under a non-empty proper subset of the anchors
+    * `ids` (the first half of the distinct ids), or None for fewer than two.
+    */
+  private def subsetBase(g: CompactGraph, ids: Seq[Int]): Option[LocalTruss.Result] = {
+    val distinct = ids.distinct
+    if (distinct.size < 2) None
+    else Some(ReferenceTruss.decompose(g, LocalTruss.anchorMask(g.m, distinct.take(distinct.size / 2))))
+  }
+
   test("trussGain equals the reference peel's gain on random graphs with 0-20 anchors") {
+    // against the plain decomposition, and against one under a subset of the anchors
     for (seed <- 1 to 40) {
       val g = TestGraphs.random(16, 40 + seed, seed * 23)
-      val base = ReferenceTruss.decompose(g)
       val rnd = new Random(seed)
-      val anchors = LocalTruss.anchorMask(g.m, Seq.fill(rnd.nextInt(21))(rnd.nextInt(g.m)))
-      assert(LocalTruss.trussGain(g, base, anchors) == referenceGain(g, base, anchors), s"seed=$seed")
+      val ids = Seq.fill(rnd.nextInt(21))(rnd.nextInt(g.m))
+      val anchors = LocalTruss.anchorMask(g.m, ids)
+      for ((which, base) <- ("plain" -> ReferenceTruss.decompose(g)) +: subsetBase(g, ids).map("subset" -> _).toSeq)
+        assert(LocalTruss.trussGain(g, base, anchors) == referenceGain(g, base, anchors), s"seed=$seed base=$which")
     }
   }
 
@@ -253,9 +264,15 @@ class LocalTrussSpec extends AnyFunSuite {
                       "route" -> topFifth(routes))
       for ((pool, edges) <- pools; trial <- 1 to 50) {
         val rnd = new Random(trial * 31 + pool.hashCode)
-        val anchors = LocalTruss.anchorMask(g.m, Seq.fill(20)(edges(rnd.nextInt(edges.length))))
+        val ids = Seq.fill(20)(edges(rnd.nextInt(edges.length)))
+        val anchors = LocalTruss.anchorMask(g.m, ids)
         assert(LocalTruss.trussGain(g, base, anchors) == referenceGain(g, base, anchors),
                s"$name pool=$pool trial=$trial")
+        // every fifth trial also against the decomposition under a subset of the anchors
+        if (trial % 5 == 0) subsetBase(g, ids).foreach { sub =>
+          assert(LocalTruss.trussGain(g, sub, anchors) == referenceGain(g, sub, anchors),
+                 s"$name pool=$pool trial=$trial base=subset")
+        }
       }
     }
   }
