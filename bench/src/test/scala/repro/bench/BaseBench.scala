@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core.Greedy
 import repro.graph.GraphGen
 
-/** BASE against BASE+ and GAS on the pokec stand-in at b=2, generator seeds
+/** BASE against BASE+ and GAS on the pokec stand-in at b=20, generator seeds
   * 3 and 7: the three must pick the same anchors with the same marginals
   * and TG, and BASE's and BASE+'s wall times are printed. Pokec's components
   * are small (none above 579 edges), so BASE, which peels each candidate's
@@ -13,7 +13,7 @@ import repro.graph.GraphGen
   */
 class BaseBench extends SparkSpec {
 
-  private val b = 2
+  private val b = 20
 
   private def timed[A](f: => A): (A, Double) = {
     val t0 = System.nanoTime()
@@ -21,7 +21,7 @@ class BaseBench extends SparkSpec {
     (r, (System.nanoTime() - t0) / 1e6)
   }
 
-  test("BASE equals BASE+ and GAS on pokec at b=2, seeds 3 and 7") {
+  test("BASE equals BASE+ and GAS on pokec at b=20, seeds 3 and 7") {
     val graphs = Seq(3L, 7L).map(seed => seed -> GraphGen.graph(GraphGen.preset("pokec").copy(seed = seed)))
     // untimed: the first BASE call in a JVM takes about three times as long
     // as the next ones (JIT and Spark warm-up)
@@ -38,9 +38,9 @@ class BaseBench extends SparkSpec {
       (seed, g.m, rp.anchors, rp.gain, baseMs, plusMs)
     }
     println(s"\n=== BASE vs BASE+ on pokec, b=$b, wall ms ===")
-    println(f"${"seed"}%4s ${"|E|"}%7s ${"anchors"}%-16s ${"TG"}%4s ${"BASE"}%9s ${"BASE+"}%9s")
+    println(f"${"seed"}%4s ${"|E|"}%7s ${"TG"}%4s ${"BASE"}%9s ${"BASE+"}%9s  anchors")
     rows.foreach { case (seed, m, anchors, gain, baseMs, plusMs) =>
-      println(f"$seed%4d $m%7d ${anchors.mkString(",")}%-16s $gain%4d $baseMs%9.1f $plusMs%9.1f")
+      println(f"$seed%4d $m%7d $gain%4d $baseMs%9.1f $plusMs%9.1f  ${anchors.mkString(",")}")
     }
   }
 }

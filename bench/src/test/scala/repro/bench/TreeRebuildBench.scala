@@ -13,14 +13,27 @@ import repro.truss.LocalTruss
   * Each step rebuilds the tree from the previous one with the new anchor
   * as the only dirty edge, as `FollowerReuse.refresh` does, and builds it
   * from scratch; both are timed. That the two trees are equal is
-  * `TrussTreeSpec`'s to check.
+  * `TrussTreeSpec`'s to check. The last tree's node count and depth (its
+  * longest parent chain, in nodes) are printed too: `subtreeEdges` costs
+  * O(m · depth).
   */
 class TreeRebuildBench extends SparkSpec {
 
   private val b = 20
 
-  /** Summed rebuild and build ms along the chain `xs`. */
-  private def chain(g: CompactGraph, xs: Seq[Int]): (Double, Double) = {
+  /** Node count and depth of `tree`. */
+  private def shape(tree: TrussTree): (Int, Int) = {
+    val depth = new Array[Int](tree.nodeOf.length) // per node id; 0 until known
+    def depthOf(id: Int): Int = {
+      if (depth(id) == 0) depth(id) = 1 + (if (tree.parent(id) == -1) 0 else depthOf(tree.parent(id)))
+      depth(id)
+    }
+    val ids = tree.nodeOf.indices.filter(e => tree.nodeOf(e) == e)
+    (ids.size, ids.map(depthOf).maxOption.getOrElse(0))
+  }
+
+  /** Summed rebuild and build ms along the chain `xs`, and the last tree. */
+  private def chain(g: CompactGraph, xs: Seq[Int]): (Double, Double, TrussTree) = {
     val anchors = new Array[Boolean](g.m)
     var tree = TrussTree.build(g, LocalTruss.decompose(g).truss)
     var rebuildNs = 0L
@@ -35,7 +48,7 @@ class TreeRebuildBench extends SparkSpec {
       buildNs += System.nanoTime() - t1
       rebuildNs += t1 - t0
     }
-    (rebuildNs / 1e6, buildNs / 1e6)
+    (rebuildNs / 1e6, buildNs / 1e6, tree)
   }
 
   test("tree rebuild and build times along 20-anchor chains on facebook and pokec, seeds 3 and 7") {
@@ -44,13 +57,14 @@ class TreeRebuildBench extends SparkSpec {
       val (xs, route) =
         if (name == "facebook") (Greedy.gas(spark, g, b).anchors, "GAS anchors")
         else ((0 until g.m).sortBy(e => (-g.support(e), e)).take(b), "top-support edges")
-      val (rebuildMs, buildMs) = chain(g, xs)
-      (name, seed, g.m, route, rebuildMs, buildMs)
+      val (rebuildMs, buildMs, last) = chain(g, xs)
+      val (nodes, depth) = shape(last)
+      (name, seed, g.m, route, rebuildMs, buildMs, nodes, depth)
     }
-    println(s"\n=== Truss-component tree: $b-anchor chains, summed ms ===")
-    println(f"${"graph"}%-9s ${"seed"}%4s ${"|E|"}%7s ${"anchors"}%-18s ${"rebuild"}%9s ${"build"}%9s")
-    rows.foreach { case (name, seed, m, route, rebuildMs, buildMs) =>
-      println(f"$name%-9s $seed%4d $m%7d $route%-18s $rebuildMs%9.1f $buildMs%9.1f")
+    println(s"\n=== Truss-component tree: $b-anchor chains, summed ms; last tree's nodes and depth ===")
+    println(f"${"graph"}%-9s ${"seed"}%4s ${"|E|"}%7s ${"anchors"}%-18s ${"rebuild"}%9s ${"build"}%9s ${"nodes"}%7s ${"depth"}%5s")
+    rows.foreach { case (name, seed, m, route, rebuildMs, buildMs, nodes, depth) =>
+      println(f"$name%-9s $seed%4d $m%7d $route%-18s $rebuildMs%9.1f $buildMs%9.1f $nodes%7d $depth%5d")
     }
   }
 }

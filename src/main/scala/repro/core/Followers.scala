@@ -147,9 +147,12 @@ final class FollowerFinder(g: CompactGraph) {
       s
     }
 
-    // Retract: `e` just transitioned `prev` -> ELIMINATED; withdraw its
+    // Retract: eliminate `e` (status `prev` until now) and withdraw its
     // contribution from survived edges whose s⁺ counted a triangle with it.
-    // Iterative (explicit stack) to survive deep cascades.
+    // Iterative (explicit stack) to survive deep cascades. An edge whose s⁺
+    // drops below t-1 is stacked but stays SURVIVED until it is popped, so
+    // "ELIMINATED" always means "already withdrawn": a triangle is withdrawn
+    // from a survivor once, by the first of its other two edges popped.
     val retractStack = new java.util.ArrayDeque[Long]()
     def retract(e0: Int, prev0: Byte): Unit = {
       retractStack.push((e0.toLong << 2) | prev0)
@@ -157,6 +160,7 @@ final class FollowerFinder(g: CompactGraph) {
         val packed = retractStack.pop()
         val e = (packed >>> 2).toInt
         val prev = (packed & 3L).toByte
+        status(e) = ELIMINATED
         g.foreachTriangle(e) { (p, q) =>
           var s = 0
           while (s < 2) {
@@ -167,10 +171,7 @@ final class FollowerFinder(g: CompactGraph) {
               val wasCounted = countable(sv, e, prev) && countable(sv, third, status(third))
               if (wasCounted) {
                 sPlus(sv) -= 1
-                if (sPlus(sv) < truss(sv) - 1) {
-                  status(sv) = ELIMINATED
-                  retractStack.push((sv.toLong << 2) | SURVIVED)
-                }
+                if (sPlus(sv) == truss(sv) - 2) retractStack.push((sv.toLong << 2) | SURVIVED)
               }
             }
             s += 1
@@ -210,10 +211,7 @@ final class FollowerFinder(g: CompactGraph) {
               s += 1
             }
           }
-        } else {
-          status(e) = ELIMINATED
-          retract(e, UNCHECKED)
-        }
+        } else retract(e, UNCHECKED)
       }
     }
 

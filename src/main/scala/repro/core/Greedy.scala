@@ -44,16 +44,17 @@ object Greedy {
 
   /** Algorithm 2: an anchored truss decomposition per candidate per round.
     * The round's decomposition already holds the earlier anchors, so each
-    * candidate peels only its own component. Each task toggles the
-    * candidate in its own clone of the anchor mask: the broadcast mask is
-    * shared by every task in an executor JVM.
+    * candidate is the only anchor new to it and peels only its own
+    * component. Each task toggles the candidate in its own clone of the
+    * anchor mask: the broadcast mask is shared by every task in an executor
+    * JVM.
     */
   def base(spark: SparkSession, g: CompactGraph, b: Int): Result =
     select(spark, g, b)(sweepAll(spark, g, (graph, dec, anchors) => {
       val mask = anchors.clone()
       e => {
         mask(e) = true
-        val gain = LocalTruss.trussGain(graph, dec, mask)
+        val gain = LocalTruss.gainAround(graph, dec, mask, Seq(e))
         mask(e) = false
         gain
       }

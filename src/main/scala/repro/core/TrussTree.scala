@@ -4,7 +4,8 @@ import repro.graph.CompactGraph
 import repro.truss.LocalTruss.AnchorTruss
 import scala.collection.mutable
 
-/** The truss component tree (paper's Algorithm 4 / Table II).
+/** The truss component tree (paper's Algorithm 4 / Table II), as two int
+  * arrays.
   *
   * Every non-anchored edge belongs to exactly one tree node; all edges of a
   * node share a trussness value `K`, and the subgraph induced by the edges
@@ -12,6 +13,12 @@ import scala.collection.mutable
   * A node's id is the smallest edge id among its own edges, which makes ids
   * deterministic and stable: a node whose edge set is unchanged across a
   * rebuild keeps its id, which is what the GAS reuse bookkeeping keys on.
+  *
+  * The tree is `nodeOf` (edge -> node id, the paper's TN.I) and `up` (node
+  * id -> an edge of its parent node, -1 for a top node). The rest of a
+  * node follows from them: its K (TN.K) is `truss(id)`, its edges (TN.E)
+  * are the edges `e` with `nodeOf(e) == id`, its parent (TN.P) is
+  * [[parent]] and its children (TN.C) are the nodes whose parent it is.
   *
   * Anchored edges (trussness `LocalTruss.AnchorTruss`) participate in triangle
   * connectivity at *every* level — an anchor bridging two components merges
@@ -23,28 +30,34 @@ import scala.collection.mutable
   * at the lowest trussness in a component every edge is in, so the whole
   * component is one class. Components ignore trussness, so anchoring never
   * changes them; [[TrussTree.rebuild]] reruns the construction pass over the
-  * components of the edges it is given and carries every other node over
-  * verbatim.
+  * components of the edges it is given and carries both arrays over
+  * verbatim elsewhere.
   */
-final class TrussTree(
-    val nodes: Map[Int, TrussTree.Node],
+final class TrussTree private[core] (
     /** edge id -> tree node id (-1 for anchors) */
     val nodeOf: Array[Int],
+    /** node id -> an edge of its parent node (-1 for a top node) */
+    private val up: Array[Int],
 ) {
 
-  /** All edge ids in the subtree rooted at node `id`. The construction
-    * does not use it; the benchmark's replay and the tests do, to measure
-    * and check trees.
+  /** Parent node id of node `id`, or -1 for a top node. */
+  def parent(id: Int): Int = if (up(id) == -1) -1 else nodeOf(up(id))
+
+  /** All edge ids in the subtree rooted at node `id`: the edges whose
+    * parent chain reaches `id`, in O(m · depth). The construction does not
+    * use it; the benchmark's replay and the tests do, to measure and check
+    * trees.
     */
   def subtreeEdges(id: Int): Array[Int] = {
-    val buf = mutable.ArrayBuffer.empty[Int]
-    val stack = mutable.Stack(id)
-    while (stack.nonEmpty) {
-      val n = nodes(stack.pop())
-      buf ++= n.edges
-      n.children.foreach(stack.push)
+    val out = mutable.ArrayBuilder.make[Int]
+    var e = 0
+    while (e < nodeOf.length) {
+      var n = nodeOf(e)
+      while (n != -1 && n != id) n = parent(n)
+      if (n != -1) out += e
+      e += 1
     }
-    buf.toArray
+    out.result()
   }
 
   /** Top-level root id owning edge `e` (-1 for anchors), by walking parent
@@ -54,19 +67,12 @@ final class TrussTree(
   def rootOf(e: Int): Int = {
     var id = nodeOf(e)
     if (id == -1) return -1
-    while (nodes(id).parent != -1) id = nodes(id).parent
+    while (parent(id) != -1) id = parent(id)
     id
   }
 }
 
 object TrussTree {
-
-  /** A tree node: `id` = smallest member edge id (paper's TN.I), `k` = the
-    * shared trussness (TN.K), `edges` = TN.E, `parent` = parent node id or
-    * -1 (TN.P), `children` = child node ids (TN.C).
-    */
-  final case class Node(id: Int, k: Int, edges: Array[Int],
-                        parent: Int, children: Array[Int])
 
   /** Build the full tree for graph `g` under trussness `truss` (paper's
     * Algorithm 4, virtual empty root). Anchors are edges with
@@ -74,14 +80,15 @@ object TrussTree {
     */
   def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
     val nodeOf = Array.fill(g.m)(-1)
-    val nodes = new Pass(g, truss, nodeOf).run(Array.range(0, g.m))
-    new TrussTree(nodes, nodeOf)
+    val up = Array.fill(g.m)(-1)
+    new Pass(g, truss, nodeOf, up).run(Array.range(0, g.m))
+    new TrussTree(nodeOf, up)
   }
 
   /** Rerun the construction pass over the triangle-connected component of
-    * every `dirty` edge (an edge in no triangle on its own) and carry every
-    * other node (and its id) over from `prev` unchanged. A component's nodes
-    * are the nodes whose ids are its edges, since an id is a member edge.
+    * every `dirty` edge (an edge in no triangle on its own) and carry both
+    * arrays over from `prev` everywhere else. A node's parent lies in its
+    * own component, so no link crosses the boundary of what is redone.
     * `dirty` must hold every edge whose trussness differs from `prev`'s;
     * then the result equals `build(g, truss)` (asserted by property tests).
     */
@@ -89,9 +96,10 @@ object TrussTree {
               dirty: Iterable[Int]): TrussTree = {
     val redo = g.componentEdges(dirty)
     val nodeOf = prev.nodeOf.clone()
-    redo.foreach(nodeOf(_) = -1)
-    val rebuilt = new Pass(g, truss, nodeOf).run(redo)
-    new TrussTree(prev.nodes.removedAll(redo.filter(e => prev.nodeOf(e) == e)) ++ rebuilt, nodeOf)
+    val up = prev.up.clone()
+    redo.foreach { e => nodeOf(e) = -1; up(e) = -1 }
+    new Pass(g, truss, nodeOf, up).run(redo)
+    new TrussTree(nodeOf, up)
   }
 
   /** The construction pass shared by build and rebuild: Algorithm 4 as one
@@ -105,21 +113,18 @@ object TrussTree {
     * other edges are already in, so each triangle is joined once. After
     * level k the classes are the triangle-connected components of the edges
     * of trussness >= k and the anchors, and each class that gained level-k
-    * edges becomes one node: id = its smallest level-k edge, children = the
-    * class's previous top nodes (the components of the levels above that it
-    * absorbed). Fills `nodeOf` for the given edges and returns the created
-    * nodes.
+    * edges becomes one node with id = its smallest level-k edge. Each class
+    * keeps its top node (-1 while it has none); a union while level-k edge
+    * `cur` is added hangs both sides' tops under `cur`, whose node is
+    * their parent. Fills `nodeOf` and `up` for the given edges.
     */
-  private final class Pass(g: CompactGraph, truss: Array[Int], nodeOf: Array[Int]) {
+  private final class Pass(g: CompactGraph, truss: Array[Int], nodeOf: Array[Int], up: Array[Int]) {
     /** union-find parent per edge; -1 while the edge is not in */
     private val uf = Array.fill(g.m)(-1)
-    /** top nodes of each class, as a linked list: first and last node id
-      * per root, next node id per node (-1 ends the list)
-      */
-    private val topFirst = Array.fill(g.m)(-1)
-    private val topLast = new Array[Int](g.m)
-    private val topNext = new Array[Int](g.m)
-    private val made = mutable.HashMap.empty[Int, Node]
+    /** top node id per class root; -1 while the class has none */
+    private val top = Array.fill(g.m)(-1)
+    /** the edge being added; the anchor pre-unions run before any node exists */
+    private var cur = -1
 
     private def find(e: Int): Int = {
       var r = e
@@ -129,49 +134,27 @@ object TrussTree {
       r
     }
 
+    private def hang(r: Int): Unit =
+      if (top(r) != -1) { up(top(r)) = cur; top(r) = -1 }
+
     private def union(a: Int, b: Int): Unit = {
       val ra = find(a); val rb = find(b)
       if (ra != rb) {
-        val r = math.min(ra, rb); val c = math.max(ra, rb)
-        uf(c) = r
-        if (topFirst(c) != -1) {
-          if (topFirst(r) == -1) topFirst(r) = topFirst(c) else topNext(topLast(r)) = topFirst(c)
-          topLast(r) = topLast(c)
-        }
+        hang(ra); hang(rb)
+        uf(math.max(ra, rb)) = math.min(ra, rb)
       }
     }
 
     private def add(e: Int): Unit = {
       uf(e) = e
+      cur = e
       g.foreachTriangle(e) { (a, b) =>
         if (uf(a) != -1 && uf(b) != -1) { union(e, a); union(e, b) }
       }
     }
 
-    /** Turn each class holding some of `level` (ascending edge ids, all of
-      * trussness k) into a node over its previous tops.
-      */
-    private def close(k: Int, level: Array[Int]): Unit = {
-      val groups = mutable.HashMap.empty[Int, mutable.ArrayBuilder.ofInt]
-      level.foreach(e => groups.getOrElseUpdate(find(e), new mutable.ArrayBuilder.ofInt) += e)
-      groups.foreach { case (r, members) =>
-        val edges = members.result()
-        val id = edges(0)
-        edges.foreach(nodeOf(_) = id)
-        val children = mutable.ArrayBuilder.make[Int]
-        var c = topFirst(r)
-        while (c != -1) {
-          made(c) = made(c).copy(parent = id)
-          children += c
-          c = topNext(c)
-        }
-        made(id) = Node(id, k, edges, -1, children.result().sorted)
-        topFirst(r) = id; topLast(r) = id; topNext(id) = -1
-      }
-    }
-
     /** Build the nodes of `edges`: whole components, distinct edge ids. */
-    def run(edges: Array[Int]): Map[Int, Node] = {
+    def run(edges: Array[Int]): Unit = {
       val anchors = edges.filter(truss(_) == AnchorTruss)
       anchors.foreach(a => uf(a) = a)
       anchors.foreach { a =>
@@ -186,12 +169,14 @@ object TrussTree {
       members.foreach(e => byK(truss(e)) += e)
       for (k <- kMax to 0 by -1) {
         val level = byK(k).result()
-        if (level.nonEmpty) {
-          level.foreach(add)
-          close(k, level)
+        level.foreach(add)
+        // ascending, so a class's first edge is its smallest: the node id
+        level.foreach { e =>
+          val r = find(e)
+          if (top(r) == -1) top(r) = e
+          nodeOf(e) = top(r)
         }
       }
-      made.toMap
     }
   }
 

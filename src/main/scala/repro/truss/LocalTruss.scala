@@ -64,10 +64,8 @@ object LocalTruss {
   /** Trussness gain of anchoring `anchors` relative to the base decomposition
     * `base` (paper's Definition 4): Σ over non-anchored edges of the
     * trussness increment. `base` is the decomposition of `g` under a subset
-    * of `anchors` (or none). A component whose anchors all are anchors in
-    * `base` peels exactly as in `base` and adds 0, so only the components
-    * of the anchors new to `base` are peeled, in O(T_C + m_C) for their T_C
-    * triangles and m_C edges, after an O(m) scan of the mask.
+    * of `anchors` (or none). An O(m) scan of the mask finds the anchors new
+    * to `base`, then [[gainAround]] peels their components.
     */
   def trussGain(g: CompactGraph, base: Result, anchors: Array[Boolean]): Long = {
     checkMask(g, anchors)
@@ -77,7 +75,18 @@ object LocalTruss {
       if (anchors(e) && base.truss(e) != AnchorTruss) fresh += e
       e += 1
     }
-    val after = decomposeAround(g, anchors, fresh.result())
+    gainAround(g, base, anchors, fresh.result())
+  }
+
+  /** [[trussGain]] for a caller that knows the anchors new to `base`:
+    * `fresh` must hold every edge of `anchors` that `base` does not anchor.
+    * A component whose anchors all are anchors in `base` peels exactly as
+    * in `base` and adds 0, so only the components of `fresh` are peeled, in
+    * O(T_C + m_C) for their T_C triangles and m_C edges.
+    */
+  private[repro] def gainAround(g: CompactGraph, base: Result, anchors: Array[Boolean],
+                                fresh: Iterable[Int]): Long = {
+    val after = decomposeAround(g, anchors, fresh)
     var gain = 0L
     var i = 0
     while (i < after.ids.length) {

@@ -87,6 +87,11 @@ class FollowersSpec extends AnyFunSuite {
     for (seed <- 1 to 10) {
       checkAllEdges(TestGraphs.random(18, 80, seed * 17 + 3))
     }
+    // 40-190 edges, where deeper retract cascades occur
+    for (seed <- 1 to 300) {
+      val rnd = new scala.util.Random(seed)
+      checkAllEdges(TestGraphs.random(12 + rnd.nextInt(20), 40 + rnd.nextInt(150), seed))
+    }
   }
 
   test("followers match brute force with existing anchors (later greedy rounds)") {
@@ -98,6 +103,17 @@ class FollowersSpec extends AnyFunSuite {
       anchors(rnd.nextInt(g.m)) = true
       checkAllEdges(g, anchors)
     }
+  }
+
+  test("followers match brute force when one retract removes two survivors of a triangle") {
+    // shrunk from a random graph: anchoring edge 14 gains nothing, and the
+    // retract cascade must withdraw each dead triangle from every survivor
+    // that counted it, also when two of its edges drop out in one cascade
+    val g = CompactGraph.fromEdges(Seq(
+      (0, 17), (0, 20), (0, 21), (0, 23), (5, 9), (5, 17), (6, 9), (6, 11), (6, 22), (9, 11),
+      (9, 17), (9, 21), (9, 22), (11, 15), (11, 20), (11, 21), (11, 22), (11, 25), (15, 20),
+      (15, 23), (15, 25), (17, 20), (17, 21), (20, 23), (21, 23), (21, 25), (23, 25)))
+    checkAllEdges(g)
   }
 
   test("route size is zero exactly when there are no qualifying seeds") {

@@ -15,8 +15,9 @@ object RecursiveTrussTree {
   def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
     val top = (0 until g.m).filter(truss(_) != AnchorTruss).toArray
     val nodeOf = Array.fill(g.m)(-1)
-    val nodes = new Builder(g, truss).buildInto(top, nodeOf)
-    new TrussTree(nodes, nodeOf)
+    val up = Array.fill(g.m)(-1)
+    new Builder(g, truss).buildInto(top, nodeOf, up)
+    new TrussTree(nodeOf, up)
   }
 
   private final class Builder(g: CompactGraph, truss: Array[Int]) {
@@ -53,25 +54,22 @@ object RecursiveTrussTree {
       groups.values.map(_.toArray)
     }
 
-    /** Peel `subset` into root nodes and their subtrees; fills `nodeOf`. */
-    def buildInto(subset: Array[Int], nodeOf: Array[Int]): Map[Int, TrussTree.Node] = {
-      val out = mutable.HashMap.empty[Int, (Int, Array[Int], Int, mutable.ArrayBuffer[Int])]
+    /** Peel `subset` into root nodes and their subtrees; fills `nodeOf`
+      * and `up` (a node's parent id is one of the parent's edges).
+      */
+    def buildInto(subset: Array[Int], nodeOf: Array[Int], up: Array[Int]): Unit = {
       def go(sub: Array[Int], par: Int): Unit = {
         for (comp <- components(sub)) {
           var kMin = Int.MaxValue
           comp.foreach(e => if (truss(e) < kMin) kMin = truss(e))
           val (hull, rest) = comp.partition(truss(_) == kMin)
           val id = hull.min
-          out(id) = (kMin, hull, par, mutable.ArrayBuffer.empty)
           hull.foreach(nodeOf(_) = id)
-          if (par != -1) out(par)._4 += id
+          up(id) = par
           if (rest.nonEmpty) go(rest, id)
         }
       }
       if (subset.nonEmpty) go(subset, -1)
-      out.iterator.map { case (id, (k, edges, par, children)) =>
-        id -> TrussTree.Node(id, k, edges, par, children.toArray)
-      }.toMap
     }
   }
 }

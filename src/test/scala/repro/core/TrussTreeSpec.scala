@@ -8,8 +8,10 @@ import scala.util.Random
 
 /** Structural invariants of the truss component tree (Algorithm 4):
   * partition of edges, uniform trussness per node, parent-child K ordering,
-  * subtree = k-truss component, stable smallest-edge-id node ids; and node
-  * for node equality of the one-pass build with the recursive reference
+  * subtree = k-truss component, stable smallest-edge-id node ids, `rootOf`
+  * and `subtreeEdges` against the triangle-connected components (nodes
+  * read through [[TreeCompare.nodes]]); and equality (`nodeOf` and
+  * parents) of the one-pass build with the recursive reference
   * [[RecursiveTrussTree]], and of chains of partial rebuilds (given the
   * changed edges, or the new anchor alone) with from-scratch builds.
   */
@@ -20,7 +22,7 @@ class TrussTreeSpec extends AnyFunSuite {
     (dec, TrussTree.build(g, dec.truss))
   }
 
-  /** Node for node: same nodeOf, ids, k, parents, edge sets and child sets. */
+  /** Node for node: same nodeOf and parents. */
   private def assertSameTree(got: TrussTree, want: TrussTree, clue: String): Unit =
     TreeCompare.firstDifference(got, want).foreach(d => fail(s"$clue: $d"))
 
@@ -53,13 +55,37 @@ class TrussTreeSpec extends AnyFunSuite {
     }
   }
 
+  /** For every edge `e`: `rootOf(e)` is -1 for an anchor, else the
+    * ancestor of `nodeOf(e)` with no parent; its subtree is the non-anchor
+    * edges of e's triangle-connected component; and every node's subtree is
+    * its edges plus its children's subtrees.
+    */
+  private def assertRoots(g: CompactGraph, truss: Array[Int], tree: TrussTree, clue: String): Unit = {
+    val nodes = TreeCompare.nodes(tree, truss)
+    for (e <- 0 until g.m) {
+      val root = tree.rootOf(e)
+      if (truss(e) == LocalTruss.AnchorTruss) assert(root == -1, s"$clue e=$e")
+      else {
+        var id = tree.nodeOf(e)
+        while (id != root && id != -1) id = nodes(id).parent
+        assert(id == root && nodes(root).parent == -1, s"$clue e=$e: rootOf $root")
+        val comp = g.componentEdges(Seq(e)).filter(truss(_) != LocalTruss.AnchorTruss)
+        assert(tree.subtreeEdges(root).sorted.sameElements(comp.sorted), s"$clue e=$e: subtree of root $root")
+      }
+    }
+    nodes.values.foreach { n =>
+      val want = n.edges ++ n.children.flatMap(tree.subtreeEdges)
+      assert(tree.subtreeEdges(n.id).sorted.sameElements(want.sorted), s"$clue node ${n.id}")
+    }
+  }
+
   test("every non-anchor edge is in exactly one node; anchors in none") {
     for (seed <- 1 to 15) {
       val g = TestGraphs.random(13, 45, seed * 3 + 1)
       val anchors = LocalTruss.anchorMask(g.m, Seq(seed % g.m))
       val (dec, tree) = buildFor(g, anchors)
       val seen = scala.collection.mutable.HashSet.empty[Int]
-      tree.nodes.values.foreach { n =>
+      TreeCompare.nodes(tree, dec.truss).values.foreach { n =>
         n.edges.foreach { e =>
           assert(!seen.contains(e)); seen += e
           assert(tree.nodeOf(e) == n.id)
@@ -77,7 +103,7 @@ class TrussTreeSpec extends AnyFunSuite {
     for (seed <- 1 to 15) {
       val g = TestGraphs.random(13, 45, seed * 5 + 2)
       val (dec, tree) = buildFor(g)
-      tree.nodes.values.foreach { n =>
+      TreeCompare.nodes(tree, dec.truss).values.foreach { n =>
         n.edges.foreach(e => assert(dec.truss(e) == n.k))
         assert(n.id == n.edges.min)
       }
@@ -87,11 +113,12 @@ class TrussTreeSpec extends AnyFunSuite {
   test("child nodes have strictly larger K than their parent") {
     for (seed <- 1 to 15) {
       val g = TestGraphs.random(13, 45, seed * 7 + 3)
-      val (_, tree) = buildFor(g)
-      tree.nodes.values.foreach { n =>
+      val (dec, tree) = buildFor(g)
+      val nodes = TreeCompare.nodes(tree, dec.truss)
+      nodes.values.foreach { n =>
         n.children.foreach { c =>
-          assert(tree.nodes(c).k > n.k)
-          assert(tree.nodes(c).parent == n.id)
+          assert(nodes(c).k > n.k)
+          assert(nodes(c).parent == n.id)
         }
       }
     }
@@ -101,9 +128,8 @@ class TrussTreeSpec extends AnyFunSuite {
     for (seed <- 1 to 10) {
       val g = TestGraphs.random(13, 45, seed * 11 + 4)
       val (dec, tree) = buildFor(g)
-      tree.nodes.keys.foreach { id =>
-        val k = tree.nodes(id).k
-        tree.subtreeEdges(id).foreach(e => assert(dec.truss(e) >= k))
+      TreeCompare.nodes(tree, dec.truss).values.foreach { n =>
+        tree.subtreeEdges(n.id).foreach(e => assert(dec.truss(e) >= n.k))
       }
     }
   }
@@ -111,8 +137,8 @@ class TrussTreeSpec extends AnyFunSuite {
   test("subtree is triangle-connected within itself (k-truss component)") {
     for (seed <- 1 to 10) {
       val g = TestGraphs.random(12, 40, seed * 13 + 5)
-      val (_, tree) = buildFor(g)
-      for (id <- tree.nodes.keys) {
+      val (dec, tree) = buildFor(g)
+      for (id <- TreeCompare.nodes(tree, dec.truss).keys) {
         val edges = tree.subtreeEdges(id).toSet
         if (edges.size > 1) {
           // union-find restricted to the subtree must leave one group,
@@ -142,11 +168,30 @@ class TrussTreeSpec extends AnyFunSuite {
     }
   }
 
+  test("rootOf is the top ancestor and its subtree the component, on random graphs with anchors and along rebuilds") {
+    for (seed <- 1 to 15) {
+      val g = TestGraphs.random(13, 45, seed * 37 + 11)
+      val xs = new Random(seed).shuffle((0 until g.m).toList).take(5)
+      val anchors = new Array[Boolean](g.m)
+      var dec = LocalTruss.decompose(g)
+      var tree = TrussTree.build(g, dec.truss)
+      assertRoots(g, dec.truss, tree, s"seed=$seed unanchored")
+      xs.foreach { x =>
+        anchors(x) = true
+        dec = LocalTruss.decompose(g, anchors)
+        tree = TrussTree.rebuild(g, dec.truss, tree, Seq(x))
+        assertRoots(g, dec.truss, tree, s"seed=$seed after $x")
+        assertRoots(g, dec.truss, TrussTree.build(g, dec.truss), s"seed=$seed built after $x")
+      }
+    }
+  }
+
   test("clique tree: single node holding every edge") {
     val g = TestGraphs.clique(6)
-    val (_, tree) = buildFor(g)
-    assert(tree.nodes.size == 1)
-    val n = tree.nodes.values.head
+    val (dec, tree) = buildFor(g)
+    val nodes = TreeCompare.nodes(tree, dec.truss)
+    assert(nodes.size == 1)
+    val n = nodes.values.head
     assert(n.k == 6 && n.edges.length == g.m && n.parent == -1)
   }
 
@@ -156,9 +201,10 @@ class TrussTreeSpec extends AnyFunSuite {
     // child K=5 holds the ten clique edges
     val clique = for (i <- 0 until 5; j <- (i + 1) until 5) yield (i, j)
     val g = CompactGraph.fromEdges(clique ++ Seq((3, 5), (4, 5)))
-    val (_, tree) = buildFor(g)
-    assert(tree.nodes.size == 2)
-    val Seq(lo, hi) = tree.nodes.values.toSeq.sortBy(_.k)
+    val (dec, tree) = buildFor(g)
+    val nodes = TreeCompare.nodes(tree, dec.truss)
+    assert(nodes.size == 2)
+    val Seq(lo, hi) = nodes.values.toSeq.sortBy(_.k)
     assert(lo.k == 3 && hi.k == 5)
     assert(hi.parent == lo.id)
     assert(lo.parent == -1)
@@ -170,10 +216,11 @@ class TrussTreeSpec extends AnyFunSuite {
     // common triangle, so no triangle-connectivity: two root nodes
     val clique = for (i <- 0 until 5; j <- (i + 1) until 5) yield (i, j)
     val g = CompactGraph.fromEdges(clique ++ Seq((4, 5), (4, 6), (5, 6)))
-    val (_, tree) = buildFor(g)
-    assert(tree.nodes.size == 2)
-    assert(tree.nodes.values.forall(_.parent == -1))
-    assert(tree.nodes.values.map(_.k).toSet == Set(3, 5))
+    val (dec, tree) = buildFor(g)
+    val nodes = TreeCompare.nodes(tree, dec.truss)
+    assert(nodes.size == 2)
+    assert(nodes.values.forall(_.parent == -1))
+    assert(nodes.values.map(_.k).toSet == Set(3, 5))
   }
 
   test("partial rebuild after anchoring equals a from-scratch build") {
@@ -250,9 +297,8 @@ class TrussTreeSpec extends AnyFunSuite {
       val g = TestGraphs.random(13, 45, seed * 17 + 6)
       val dec = LocalTruss.decompose(g)
       val t1 = TrussTree.build(g, dec.truss)
-      val t2 = TrussTree.build(g, dec.truss)
-      assert(t1.nodes.keySet == t2.nodes.keySet)
-      assert(t1.nodeOf.sameElements(t2.nodeOf))
+      val t2 = TrussTree.rebuild(g, dec.truss, t1, 0 until g.m by 3)
+      assertSameTree(t2, t1, s"seed=$seed")
     }
   }
 
@@ -280,13 +326,13 @@ class TrussTreeSpec extends AnyFunSuite {
     val g = CompactGraph.fromEdges(Seq(
       (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (1, 3), (2, 4)))
     val (dec0, t0) = buildFor(g)
-    assert(t0.nodes.values.map(n => (n.k, n.edges.toSet, n.parent)).toSet ==
+    assert(TreeCompare.nodes(t0, dec0.truss).values.map(n => (n.k, n.edges.toSet, n.parent)).toSet ==
            Set((3, (0 until g.m).toSet, -1)))
     // anchoring the middle edge (2,3) keeps one node: the anchor still joins
     // {1,2,3} and {2,3,4}
     val x = TestGraphs.edgeId(g, 2, 3)
     val (dec1, t1) = buildFor(g, LocalTruss.anchorMask(g.m, Seq(x)))
-    assert(t1.nodes.values.map(n => (n.k, n.edges.toSet, n.parent)).toSet ==
+    assert(TreeCompare.nodes(t1, dec1.truss).values.map(n => (n.k, n.edges.toSet, n.parent)).toSet ==
            Set((3, (0 until g.m).toSet - x, -1)))
     assert(t1.nodeOf(x) == -1)
     assertSameTree(t0, RecursiveTrussTree.build(g, dec0.truss), "unanchored")
@@ -308,13 +354,13 @@ class TrussTreeSpec extends AnyFunSuite {
     // unanchored: the connectors form a 3-level node over the two K4 nodes
     val (dec0, t0) = buildFor(g)
     val root = connectorEdges.min
-    assert(t0.nodes.values.map(n => (n.id, n.k, n.edges.toSet, n.parent)).toSet == Set(
+    assert(TreeCompare.nodes(t0, dec0.truss).values.map(n => (n.id, n.k, n.edges.toSet, n.parent)).toSet == Set(
       (root, 3, connectorEdges.toSet, -1), (left.min, 4, left, root), (right.min, 4, right, root)))
     assertSameTree(t0, RecursiveTrussTree.build(g, dec0.truss), "unanchored")
 
     // anchored: one 4-level node holding both cliques
     val (dec1, t1) = buildFor(g, LocalTruss.anchorMask(g.m, connectorEdges))
-    assert(t1.nodes.values.map(n => (n.id, n.k, n.edges.toSet, n.parent, n.children.length)).toSet ==
+    assert(TreeCompare.nodes(t1, dec1.truss).values.map(n => (n.id, n.k, n.edges.toSet, n.parent, n.children.length)).toSet ==
            Set((left.min, 4, left ++ right, -1, 0)))
     assertSameTree(t1, RecursiveTrussTree.build(g, dec1.truss), "anchored")
   }

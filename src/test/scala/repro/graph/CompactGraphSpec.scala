@@ -127,7 +127,7 @@ class CompactGraphSpec extends SparkSpec {
 
   test("empty graph: no tree nodes, GAS anchors nothing and gains 0") {
     val g = CompactGraph.fromEdges(Nil)
-    assert(TrussTree.build(g, LocalTruss.decompose(g).truss).nodes.isEmpty)
+    assert(TrussTree.build(g, LocalTruss.decompose(g).truss).nodeOf.forall(_ == -1))
     val r = Greedy.gas(spark, g, 3)
     assert(r.anchors.isEmpty && r.gain == 0)
   }
@@ -144,7 +144,7 @@ class CompactGraphSpec extends SparkSpec {
     val g = TestGraphs.clique(3)
     val dec = LocalTruss.decompose(g, LocalTruss.anchorMask(g.m, 0 until g.m))
     assert(dec.truss.forall(_ == LocalTruss.AnchorTruss) && dec.layer.forall(_ == 0) && dec.kMax == 2)
-    assert(TrussTree.build(g, dec.truss).nodes.isEmpty)
+    assert(TrussTree.build(g, dec.truss).nodeOf.forall(_ == -1))
   }
 
   private def triangleLists(g: CompactGraph): Seq[Seq[(Int, Int)]] =

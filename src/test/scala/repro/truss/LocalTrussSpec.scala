@@ -248,8 +248,12 @@ class LocalTrussSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val ids = Seq.fill(rnd.nextInt(21))(rnd.nextInt(g.m))
       val anchors = LocalTruss.anchorMask(g.m, ids)
-      for ((which, base) <- ("plain" -> ReferenceTruss.decompose(g)) +: subsetBase(g, ids).map("subset" -> _).toSeq)
-        assert(LocalTruss.trussGain(g, base, anchors) == referenceGain(g, base, anchors), s"seed=$seed base=$which")
+      for ((which, base) <- ("plain" -> ReferenceTruss.decompose(g)) +: subsetBase(g, ids).map("subset" -> _).toSeq) {
+        val want = referenceGain(g, base, anchors)
+        assert(LocalTruss.trussGain(g, base, anchors) == want, s"seed=$seed base=$which")
+        // given every anchor as possibly new, without the scan
+        assert(LocalTruss.gainAround(g, base, anchors, ids) == want, s"seed=$seed base=$which gainAround")
+      }
     }
   }
 
