@@ -21,18 +21,8 @@ object Baselines {
 
   /** Max trussness gain over `trials` random b-subsets of `pool`. */
   def maxGainOverTrials(spark: SparkSession, g: CompactGraph, pool: Array[Int],
-                        b: Int, trials: Int, seed: Long): Long = {
-    require(b >= 0, s"b must be non-negative, got $b")
-    require(trials > 0, s"trials must be positive, got $trials")
-    import spark.implicits._
-    Using.resource(new Sweep(spark, g)) { sweep =>
-      sweep.run((LocalTruss.decompose(g), pool), 0 until trials) { case (graph, (base, pool)) =>
-        trial =>
-          val picked = pick(pool, b, new Random(seed * 1000003L + trial))
-          LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, picked))
-      }.max
-    }
-  }
+                        b: Int, trials: Int, seed: Long): Long =
+    maxGain(spark, g, b, trials, seed)((_, _) => pool)
 
   def rand(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 7L): Long =
     maxGainOverTrials(spark, g, Array.range(0, g.m), b, trials, seed)
@@ -40,9 +30,34 @@ object Baselines {
   def sup(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 11L): Long =
     maxGainOverTrials(spark, g, topFraction(Array.tabulate(g.m)(g.support)), b, trials, seed)
 
-  def tur(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 13L): Long = {
-    val routes = Greedy.routeSizes(spark, g)
-    maxGainOverTrials(spark, g, topFraction(routes), b, trials, seed)
+  /** The route sizes and the trials share one sweep and one decomposition. */
+  def tur(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 13L): Long =
+    maxGain(spark, g, b, trials, seed)((sweep, base) => topFraction(Greedy.routeSizes(spark, sweep, g, base)))
+
+  /** Max trussness gain over `trials` random b-subsets of the pool that
+    * `poolOf` makes from the open sweep and the unanchored decomposition
+    * `base`. Each task zeroes one mask and toggles each trial's picks in
+    * it: `base` anchors nothing, so every pick is an anchor new to it and
+    * [[LocalTruss.gainAround]] needs no scan of the mask.
+    */
+  private def maxGain(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long)
+                     (poolOf: (Sweep, LocalTruss.Result) => Array[Int]): Long = {
+    require(b >= 0, s"b must be non-negative, got $b")
+    require(trials > 0, s"trials must be positive, got $trials")
+    import spark.implicits._
+    Using.resource(new Sweep(spark, g)) { sweep =>
+      val base = LocalTruss.decompose(g)
+      sweep.run((base, poolOf(sweep, base)), 0 until trials) { case (graph, (base, pool)) =>
+        val mask = new Array[Boolean](graph.m)
+        trial => {
+          val picked = pick(pool, b, new Random(seed * 1000003L + trial))
+          picked.foreach(mask(_) = true)
+          val gain = LocalTruss.gainAround(graph, base, mask, picked)
+          picked.foreach(mask(_) = false)
+          gain
+        }
+      }.max
+    }
   }
 
   /** The first min(b, pool.length) elements of

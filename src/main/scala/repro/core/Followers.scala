@@ -189,30 +189,32 @@ final class FollowerFinder(g: CompactGraph) {
     }
     seeds.foreach(push)
 
+    // Every popped edge is still UNCHECKED: the seeds are distinct, a route
+    // extension is pushed only while UNCHECKED and out of the heap, so no
+    // edge is pushed twice, and a retract changes only the popped edge and
+    // SURVIVED edges, never a queued one.
     var examined = 0
     while (!heap.isEmpty) {
       val e = (heap.poll() & 0xffffffffL).toInt
       inHeap(e) = false
       examined += 1
-      if (status(e) == UNCHECKED) { // else: eliminated by a retract while queued
-        val sp = effectiveTriangles(e)
-        sPlus(e) = sp
-        if (sp >= truss(e) - 1) {
-          status(e) = SURVIVED
-          // extend the route: same-level unchecked neighbor-edges deleted
-          // no earlier than e (Algorithm 3 lines 12-14)
-          g.foreachTriangle(e) { (e1, e2) =>
-            var s = 0
-            while (s < 2) {
-              val ne = if (s == 0) e1 else e2
-              if (!isCand(ne) && !isAnchor(ne) && truss(ne) == level &&
-                  status(ne) == UNCHECKED && layer(e) <= layer(ne) && !inHeap(ne))
-                push(ne)
-              s += 1
-            }
+      val sp = effectiveTriangles(e)
+      sPlus(e) = sp
+      if (sp >= truss(e) - 1) {
+        status(e) = SURVIVED
+        // extend the route: same-level unchecked neighbor-edges deleted
+        // no earlier than e (Algorithm 3 lines 12-14)
+        g.foreachTriangle(e) { (e1, e2) =>
+          var s = 0
+          while (s < 2) {
+            val ne = if (s == 0) e1 else e2
+            if (!isCand(ne) && !isAnchor(ne) && truss(ne) == level &&
+                status(ne) == UNCHECKED && layer(e) <= layer(ne) && !inHeap(ne))
+              push(ne)
+            s += 1
           }
-        } else retract(e, UNCHECKED)
-      }
+        }
+      } else retract(e, UNCHECKED)
     }
 
     // collect this level's survivors as followers, then reset workspace

@@ -52,12 +52,14 @@ object Greedy {
   def base(spark: SparkSession, g: CompactGraph, b: Int): Result =
     select(spark, g, b)(sweepAll(spark, g, (graph, dec, anchors) => {
       val mask = anchors.clone()
-      e => {
-        mask(e) = true
-        val gain = LocalTruss.gainAround(graph, dec, mask, Seq(e))
-        mask(e) = false
-        gain
-      }
+      e =>
+        if (graph.support(e) == 0) 0L // in no triangle: anchoring it moves no support
+        else {
+          mask(e) = true
+          val gain = LocalTruss.gainAround(graph, dec, mask, Seq(e))
+          mask(e) = false
+          gain
+        }
     }))
 
   /** BASE with upward-route/support-check follower computation (Alg. 3). */
@@ -75,15 +77,23 @@ object Greedy {
     * computed Spark-parallel over the broadcast graph.
     */
   def routeSizes(spark: SparkSession, g: CompactGraph): Array[Int] =
-    Using.resource(new Sweep(spark, g)) { sweep =>
-      import spark.implicits._
-      val out = new Array[Int](g.m)
-      sweep.run(LocalTruss.decompose(g), 0 until g.m) { (graph, dec) =>
-        val finder = new FollowerFinder(graph)
-        e => (e, finder.find(dec.truss, dec.layer, e).routeSize)
-      }.foreach { case (e, s) => out(e) = s }
-      out
-    }
+    Using.resource(new Sweep(spark, g))(routeSizes(spark, _, g, LocalTruss.decompose(g)))
+
+  /** [[routeSizes]] on an open sweep of `g`, against `dec`, the unanchored
+    * decomposition of `g`. A route starts at the anchor's triangle
+    * neighbours (Lemma 2), so only the edges that lie in a triangle,
+    * `g.compEdges`, are swept; every other edge's route size is 0.
+    */
+  private[core] def routeSizes(spark: SparkSession, sweep: Sweep, g: CompactGraph,
+                               dec: LocalTruss.Result): Array[Int] = {
+    import spark.implicits._
+    val out = new Array[Int](g.m)
+    sweep.run(dec, g.compEdges.toSeq) { (graph, dec) =>
+      val finder = new FollowerFinder(graph)
+      e => (e, finder.find(dec.truss, dec.layer, e).routeSize)
+    }.foreach { case (e, s) => out(e) = s }
+    out
+  }
 
   /** A round's scores: `gain(e)` for every candidate `e`, and how many
     * candidates were evaluated on Spark vs fully reused from a cache.

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.graph.GraphGen
 import scala.util.Random
 
 /** Rand / Sup / Tur random baselines: determinism, valid pools, and the
@@ -66,6 +67,22 @@ class BaselinesSpec extends SparkSpec {
     assert(Baselines.rand(spark, g, 2, 5) == 0)
     assert(Baselines.sup(spark, g, 2, 5) == 0)
     assert(Baselines.tur(spark, g, 2, 5) == 0)
+  }
+
+  test("Rand, Sup and Tur equal a Spark-free recomputation of the same seeded trials") {
+    val cases =
+      (1 to 6).map(seed => (s"random seed=$seed", TestGraphs.random(24, 90, seed * 37 + 1), 1 + seed % 4, 5, seed.toLong)) :+
+        (("college", GraphGen.graph("college"), 5, 4, 3L))
+    val got = for ((name, g, b, trials, seed) <- cases) yield {
+      val want = (ReferenceBaselines.rand(g, b, trials, seed), ReferenceBaselines.sup(g, b, trials, seed),
+                  ReferenceBaselines.tur(g, b, trials, seed))
+      val have = (Baselines.rand(spark, g, b, trials, seed), Baselines.sup(spark, g, b, trials, seed),
+                  Baselines.tur(spark, g, b, trials, seed))
+      assert(have == want, s"$name b=$b trials=$trials")
+      have
+    }
+    // the draws must reach positive gains, or equal zeros would show nothing
+    assert(got.count(r => r._1 > 0 || r._2 > 0 || r._3 > 0) >= 3, got.toString)
   }
 
   test("pick draws what shuffling the boxed pool and taking b drew") {

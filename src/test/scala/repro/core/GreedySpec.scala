@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.GraphGen
+import repro.graph.{CompactGraph, GraphGen}
 import repro.truss.LocalTruss
 
 /** The three greedy variants must be interchangeable: same anchor sequence,
@@ -113,6 +113,21 @@ class GreedySpec extends SparkSpec {
     val routes = Greedy.routeSizes(spark, g)
     assert(routes.length == g.m)
     assert(routes.forall(_ == 0))
+  }
+
+  test("route sizes equal FollowerFinder.find's route size for every edge") {
+    val path = CompactGraph.fromEdges((0 until 30).map(i => (i, i + 1)))
+    val mixed = (1 to 6).map(seed => TestGraphs.random(40, 110, seed * 43 + 5))
+    // the random graphs hold edges in a triangle and edges in none
+    mixed.foreach(g => assert(g.compEdges.length > 0 && g.compEdges.length < g.m))
+    val graphs = mixed ++ Seq(path, CompactGraph.fromEdges(Seq.empty), GraphGen.graph("college"),
+                              GraphGen.graph("pokec"))
+    graphs.zipWithIndex.foreach { case (g, i) =>
+      val want = ReferenceBaselines.routeSizes(g)
+      assert(Greedy.routeSizes(spark, g).toSeq == want.toSeq, s"graph $i (m=${g.m})")
+      // every graph here with a triangle has some non-empty route
+      assert(want.exists(_ > 0) == g.compEdges.nonEmpty, s"graph $i")
+    }
   }
 
   test("budget larger than the edge count terminates gracefully") {
