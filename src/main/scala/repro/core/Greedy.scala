@@ -52,14 +52,12 @@ object Greedy {
   def base(spark: SparkSession, g: CompactGraph, b: Int): Result =
     select(spark, g, b)(sweepAll(spark, g, (graph, dec, anchors) => {
       val mask = anchors.clone()
-      e =>
-        if (graph.support(e) == 0) 0L // in no triangle: anchoring it moves no support
-        else {
-          mask(e) = true
-          val gain = LocalTruss.gainAround(graph, dec, mask, Seq(e))
-          mask(e) = false
-          gain
-        }
+      e => {
+        mask(e) = true
+        val gain = LocalTruss.gainAround(graph, dec, mask, Seq(e))
+        mask(e) = false
+        gain
+      }
     }))
 
   /** BASE with upward-route/support-check follower computation (Alg. 3). */
