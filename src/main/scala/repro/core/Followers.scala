@@ -2,7 +2,6 @@ package repro.core
 
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss.AnchorTruss
-import scala.collection.mutable
 
 /** Result of a follower computation for one candidate anchor.
   *
@@ -27,14 +26,17 @@ final case class FindResult(followers: Array[Int], routeSize: Int,
   * followers live on upward-routes rooted at `x` (Lemma 2): neighbor-edges
   * of `x` deleted no earlier than `x` in the truss-decomposition order
   * (trussness, then layer), extended through triangle-adjacent edges of the
-  * same trussness in non-decreasing layer order. Each trussness level is
-  * processed on its own layer-keyed min-heap; an edge survives if it has at
-  * least `t(e)-1` effective triangles, otherwise it is eliminated and its
+  * same trussness in non-decreasing layer order. One min-heap ordered by
+  * (trussness, layer, id) holds the route, so it empties each trussness
+  * level before it starts the next; an edge survives if it has at least
+  * `t(e)-1` effective triangles, otherwise it is eliminated and its
   * optimistic contribution retracted from already-survived edges.
   *
   * A `FollowerFinder` owns reusable O(m) workspace so it can be called for
   * many candidates cheaply; a [[Sweep]] creates one per Spark task over
-  * the broadcast graph.
+  * the broadcast graph. Each edge enters the heap at most once per call,
+  * so the heap, the list of touched edges and the retract stack are int
+  * arrays of length m, and only the touched edges are reset afterwards.
   *
   * Previously anchored edges carry trussness `AnchorTruss` in the input
   * array: they always count as survived support providers and are never
@@ -43,18 +45,21 @@ final case class FindResult(followers: Array[Int], routeSize: Int,
 final class FollowerFinder(g: CompactGraph) {
 
   private val UNCHECKED: Byte = 0
-  private val SURVIVED: Byte = 1
-  private val ELIMINATED: Byte = 2
+  private val QUEUED: Byte = 1 // in the heap; otherwise counts as unchecked
+  private val SURVIVED: Byte = 2
+  private val ELIMINATED: Byte = 3
 
   private val status = new Array[Byte](g.m)
   // candidate-anchor membership mask for the current call (cleared after)
   private val isCand = new Array[Boolean](g.m)
-  private val inHeap = new Array[Boolean](g.m)
+  // s⁺ of an edge, set when it is popped and read only while it is
+  // SURVIVED in the same call, so it needs no reset
   private val sPlus = new Array[Int](g.m)
-  // every edge ever pushed to a heap this level; statuses/flags are only
-  // ever modified for pushed edges, so resetting these restores the
-  // workspace in O(|route|) rather than O(m)
-  private val touched = new mutable.ArrayBuffer[Int]()
+  private val heap = new Array[Int](g.m)
+  // every edge popped this call, in pop order; the heap is empty at the
+  // end, so these are all the edges whose status the call changed
+  private val touched = new Array[Int](g.m)
+  private val retractStack = new Array[Int](g.m)
 
   /** Compute the followers of anchoring edge `x`.
     *
@@ -82,15 +87,39 @@ final class FollowerFinder(g: CompactGraph) {
                 allowNode: Int => Boolean = null,
                 onlyLevel: Int = -1): FindResult = {
     def isAnchor(e: Int): Boolean = truss(e) == AnchorTruss
+    def routable(e: Int): Boolean = !isCand(e) && !isAnchor(e) && status(e) == UNCHECKED
+
+    // the heap order: (trussness, layer, id)
+    def before(a: Int, b: Int): Boolean =
+      truss(a) < truss(b) || truss(a) == truss(b) && (layer(a) < layer(b) || layer(a) == layer(b) && a < b)
+    var size = 0
+    def push(e: Int): Unit = {
+      status(e) = QUEUED
+      var i = size
+      size += 1
+      while (i > 0 && before(e, heap((i - 1) >> 1))) { heap(i) = heap((i - 1) >> 1); i = (i - 1) >> 1 }
+      heap(i) = e
+    }
+    def pop(): Int = {
+      val top = heap(0)
+      size -= 1
+      val last = heap(size)
+      var i = 0
+      var c = 1
+      while (c < size) {
+        if (c + 1 < size && before(heap(c + 1), heap(c))) c += 1
+        if (before(heap(c), last)) { heap(i) = heap(c); i = c; c = 2 * i + 1 }
+        else c = size
+      }
+      heap(i) = last
+      top
+    }
+
     xs.foreach { x =>
       require(!isAnchor(x), s"edge $x is already an anchor")
       isCand(x) = true
     }
-
-    // seeds: neighbor-edges of some x satisfying Lemma 2 condition (i),
-    // grouped by trussness level, processed in ascending level order
-    val seedsByLevel = mutable.SortedMap.empty[Int, mutable.ArrayBuffer[Int]]
-    val seedSeen = mutable.HashSet.empty[Int]
+    // seeds: neighbor-edges of some x satisfying Lemma 2 condition (i)
     xs.foreach { x =>
       val tx = truss(x)
       val lx = layer(x)
@@ -98,40 +127,21 @@ final class FollowerFinder(g: CompactGraph) {
         var s = 0
         while (s < 2) {
           val e = if (s == 0) e1 else e2
-          if (!isAnchor(e) && !isCand(e) && !seedSeen.contains(e) &&
-              (truss(e) > tx || (truss(e) == tx && layer(e) > lx)) &&
+          if (routable(e) && (truss(e) > tx || (truss(e) == tx && layer(e) > lx)) &&
               (onlyLevel < 0 || truss(e) == onlyLevel) &&
-              (allowNode == null || allowNode(nodeOf(e)))) {
-            seedSeen += e
-            seedsByLevel.getOrElseUpdate(truss(e), mutable.ArrayBuffer.empty) += e
-          }
+              (allowNode == null || allowNode(nodeOf(e))))
+            push(e)
           s += 1
         }
       }
     }
 
-    val followers = mutable.ArrayBuffer.empty[Int]
-    val perNode = mutable.HashMap.empty[Int, Int]
-    var routeSize = 0
-    for ((level, seeds) <- seedsByLevel)
-      routeSize += processLevel(truss, layer, level, seeds, followers, perNode, nodeOf)
-    xs.foreach(isCand(_) = false)
-    FindResult(followers.toArray, routeSize, perNode.toMap)
-  }
-
-  /** Run the heap loop for one trussness level; returns edges examined. */
-  private def processLevel(truss: Array[Int], layer: Array[Int],
-                           level: Int, seeds: collection.Seq[Int],
-                           followers: mutable.ArrayBuffer[Int],
-                           perNode: mutable.HashMap[Int, Int],
-                           nodeOf: Array[Int]): Int = {
-    def isAnchor(e: Int): Boolean = truss(e) == AnchorTruss
-
-    // Can neighbor `z` (with status `zStatus`) support checker `c` in an
-    // effective triangle? (Definition 8 conditions (ii)/(iii); edges below
-    // the current level count as eliminated per Algorithm 3 line 6; the
-    // candidate anchor and prior anchors always count.)
-    def countable(c: Int, z: Int, zStatus: Byte): Boolean = {
+    // Can neighbor `z` (with status `zStatus`) support checker `c` of trussness
+    // `level` in an effective triangle? (Definition 8 conditions (ii)/(iii);
+    // edges below the level count as eliminated per Algorithm 3 line 6, so
+    // what an earlier level left in `status` is never read; the candidate
+    // anchor and prior anchors always count.)
+    def countable(level: Int, c: Int, z: Int, zStatus: Byte): Boolean = {
       if (isCand(z) || isAnchor(z)) true
       else if (truss(z) < level) false
       else if (zStatus == ELIMINATED) false
@@ -139,40 +149,32 @@ final class FollowerFinder(g: CompactGraph) {
       else truss(z) > level || layer(c) <= layer(z) // unchecked: need c < z
     }
 
-    def effectiveTriangles(e: Int): Int = {
-      var s = 0
-      g.foreachTriangle(e) { (e1, e2) =>
-        if (countable(e, e1, status(e1)) && countable(e, e2, status(e2))) s += 1
-      }
-      s
-    }
-
-    // Retract: eliminate `e` (status `prev` until now) and withdraw its
-    // contribution from survived edges whose s⁺ counted a triangle with it.
-    // Iterative (explicit stack) to survive deep cascades. An edge whose s⁺
-    // drops below t-1 is stacked but stays SURVIVED until it is popped, so
-    // "ELIMINATED" always means "already withdrawn": a triangle is withdrawn
-    // from a survivor once, by the first of its other two edges popped.
-    val retractStack = new java.util.ArrayDeque[Long]()
-    def retract(e0: Int, prev0: Byte): Unit = {
-      retractStack.push((e0.toLong << 2) | prev0)
-      while (!retractStack.isEmpty) {
-        val packed = retractStack.pop()
-        val e = (packed >>> 2).toInt
-        val prev = (packed & 3L).toByte
+    // Retract: eliminate `e0` and withdraw its contribution from survived
+    // edges of its level whose s⁺ counted a triangle with it. Iterative to
+    // survive deep cascades. A stacked edge keeps its status until it is
+    // popped, where that status is read as the one its survivors counted,
+    // so "ELIMINATED" always means "already withdrawn": a triangle is
+    // withdrawn from a survivor once, by the first of its other two edges
+    // popped.
+    def retract(e0: Int): Unit = {
+      val level = truss(e0)
+      var top = 0
+      retractStack(top) = e0; top += 1
+      while (top > 0) {
+        top -= 1
+        val e = retractStack(top)
+        val prev = status(e)
         status(e) = ELIMINATED
         g.foreachTriangle(e) { (p, q) =>
           var s = 0
           while (s < 2) {
             val sv = if (s == 0) p else q
             val third = if (s == 0) q else p
-            // only survived current-level candidates track an s⁺ count
-            if (!isCand(sv) && !isAnchor(sv) && truss(sv) == level && status(sv) == SURVIVED) {
-              val wasCounted = countable(sv, e, prev) && countable(sv, third, status(third))
-              if (wasCounted) {
-                sPlus(sv) -= 1
-                if (sPlus(sv) == truss(sv) - 2) retractStack.push((sv.toLong << 2) | SURVIVED)
-              }
+            // only survived edges of this level track an s⁺ count
+            if (truss(sv) == level && status(sv) == SURVIVED &&
+                countable(level, sv, e, prev) && countable(level, sv, third, status(third))) {
+              sPlus(sv) -= 1
+              if (sPlus(sv) == level - 2) { retractStack(top) = sv; top += 1 }
             }
             s += 1
           }
@@ -180,60 +182,45 @@ final class FollowerFinder(g: CompactGraph) {
       }
     }
 
-    // min-heap keyed by (layer, edgeId) packed into one Long
-    val heap = new java.util.PriorityQueue[java.lang.Long]()
-    def push(e: Int): Unit = {
-      touched += e
-      inHeap(e) = true
-      heap.add((layer(e).toLong << 32) | e.toLong)
-    }
-    seeds.foreach(push)
-
-    // Every popped edge is still UNCHECKED: the seeds are distinct, a route
-    // extension is pushed only while UNCHECKED and out of the heap, so no
-    // edge is pushed twice, and a retract changes only the popped edge and
-    // SURVIVED edges, never a queued one.
-    var examined = 0
-    while (!heap.isEmpty) {
-      val e = (heap.poll() & 0xffffffffL).toInt
-      inHeap(e) = false
-      examined += 1
-      val sp = effectiveTriangles(e)
+    // Every popped edge is still QUEUED: an edge is pushed only while
+    // unchecked, and a retract changes only the popped edge and SURVIVED
+    // edges, never a queued one. A route extends only within its level and
+    // no earlier in the order, so the pops run level by level.
+    var nTouched = 0
+    while (size > 0) {
+      val e = pop()
+      touched(nTouched) = e
+      nTouched += 1
+      val level = truss(e)
+      var sp = 0
+      g.foreachTriangle(e) { (e1, e2) =>
+        if (countable(level, e, e1, status(e1)) && countable(level, e, e2, status(e2))) sp += 1
+      }
       sPlus(e) = sp
-      if (sp >= truss(e) - 1) {
+      if (sp >= level - 1) {
         status(e) = SURVIVED
         // extend the route: same-level unchecked neighbor-edges deleted
         // no earlier than e (Algorithm 3 lines 12-14)
         g.foreachTriangle(e) { (e1, e2) =>
-          var s = 0
-          while (s < 2) {
-            val ne = if (s == 0) e1 else e2
-            if (!isCand(ne) && !isAnchor(ne) && truss(ne) == level &&
-                status(ne) == UNCHECKED && layer(e) <= layer(ne) && !inHeap(ne))
-              push(ne)
-            s += 1
-          }
+          if (routable(e1) && truss(e1) == level && layer(e) <= layer(e1)) push(e1)
+          if (routable(e2) && truss(e2) == level && layer(e) <= layer(e2)) push(e2)
         }
-      } else retract(e, UNCHECKED)
+      } else retract(e)
     }
 
-    // collect this level's survivors as followers, then reset workspace
-    var idx = 0
-    while (idx < touched.length) {
-      val e = touched(idx)
-      if (status(e) == SURVIVED) {
-        followers += e
-        if (nodeOf != null) perNode.updateWith(nodeOf(e)) {
-          case Some(c) => Some(c + 1)
-          case None    => Some(1)
-        }
-      }
+    // the survivors are the followers; compact them to the front of
+    // `touched` while resetting the workspace
+    var nFollowers = 0
+    var i = 0
+    while (i < nTouched) {
+      val e = touched(i)
+      if (status(e) == SURVIVED) { touched(nFollowers) = e; nFollowers += 1 }
       status(e) = UNCHECKED
-      inHeap(e) = false
-      sPlus(e) = 0
-      idx += 1
+      i += 1
     }
-    touched.clear()
-    examined
+    xs.foreach(isCand(_) = false)
+    val followers = java.util.Arrays.copyOf(touched, nFollowers)
+    val perNode = if (nodeOf == null) Map.empty[Int, Int] else followers.groupMapReduce(nodeOf(_))(_ => 1)(_ + _)
+    FindResult(followers, nTouched, perNode)
   }
 }

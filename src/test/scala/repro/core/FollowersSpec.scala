@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, GraphGen}
 import repro.truss.LocalTruss
 
 /** Algorithm 3 (GetFollowers) against ground truth: for every candidate
@@ -46,6 +46,14 @@ class FollowersSpec extends AnyFunSuite {
           assert(after.truss(e) - base.truss(e) <= 1,
             s"seed=$seed x=$x e=$e base=${base.truss(e)} after=${after.truss(e)}")
       }
+    }
+  }
+
+  test("follower counts equal the anchored gain on every edge of college (Lemma 1)") {
+    val g = GraphGen.graph("college")
+    for (anchors <- Seq(new Array[Boolean](g.m), FollowerOracle.topSupport(g, 5))) {
+      val bad = FollowerOracle.mismatches(g, anchors)
+      assert(bad.isEmpty, s"(x, count, gain): ${bad.take(10).mkString(", ")}")
     }
   }
 
