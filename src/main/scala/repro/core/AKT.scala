@@ -31,66 +31,61 @@ object AKT {
                            anchoredEdges: Seq[Int])
 
   /** Run AKT for one k value with budget b. */
-  def run(g: CompactGraph, k: Int, b: Int): KResult = {
-    require(b >= 0, s"b must be non-negative, got $b")
-    val baseDec = LocalTruss.decompose(g)
+  def run(g: CompactGraph, k: Int, b: Int): KResult =
+    run(g, LocalTruss.decompose(g), new FollowerFinder(g), k, b)
+
+  /** Run AKT for every k in [3, kMax]; used for Table V's avg/max over k.
+    * Every k starts from the one unanchored decomposition.
+    */
+  def sweep(g: CompactGraph, b: Int): Seq[KResult] = {
+    val base = LocalTruss.decompose(g)
     val finder = new FollowerFinder(g)
+    (3 to base.kMax).map(k => run(g, base, finder, k, b))
+  }
+
+  /** AKT at k from `base`, the unanchored decomposition of `g`. Each round
+    * scans the vertices in ascending order, so ties go to the smallest
+    * vertex; a pick anchors its skeleton edges and re-peels only their
+    * triangle-connected components, spliced into the round's arrays.
+    */
+  private def run(g: CompactGraph, base: LocalTruss.Result, finder: FollowerFinder,
+                  k: Int, b: Int): KResult = {
+    require(b >= 0, s"b must be non-negative, got $b")
+    val truss = base.truss.clone()
+    val layer = base.layer.clone()
     val anchors = new Array[Boolean](g.m)
-    val chosen = mutable.ArrayBuffer.empty[Int]
-    val chosenSet = mutable.HashSet.empty[Int]
-    var dec = baseDec
-    var rounds = 0
-    while (rounds < b) {
-      rounds += 1
-      // endpoints of current (k-1)-hull edges, not yet anchored
-      val cands = mutable.SortedSet.empty[Int]
-      var e = 0
-      while (e < g.m) {
-        if (dec.truss(e) == k - 1) { cands += g.edgeU(e); cands += g.edgeV(e) }
-        e += 1
+    val chosen = new Array[Boolean](g.n)
+    val picks = mutable.ArrayBuffer.empty[Int]
+    // a candidate has an incident edge of trussness k-1
+    def isCandidate(v: Int): Boolean =
+      !chosen(v) && (g.adjOff(v) until g.adjOff(v + 1)).exists(i => truss(g.adjE(i)) == k - 1)
+    // only incident edges inside the (k-1)-truss skeleton are anchored
+    def anchorable(v: Int): Array[Int] =
+      (g.adjOff(v) until g.adjOff(v + 1)).iterator.map(g.adjE)
+        .filter(e => !anchors(e) && truss(e) >= k - 1).toArray
+    var done = false
+    while (!done && picks.size < b) {
+      var bestV = -1
+      var bestScore = -1
+      var v = 0
+      while (v < g.n) {
+        if (isCandidate(v)) {
+          val score = finder.findMulti(truss, layer, anchorable(v), onlyLevel = k - 1).count
+          if (score > bestScore) { bestScore = score; bestV = v }
+        }
+        v += 1
       }
-      chosenSet.foreach(cands -= _)
-      if (cands.isEmpty) rounds = b // nothing left to gain at this k
+      if (bestV < 0) done = true // nothing left to gain at this k
       else {
-        // only incident edges inside the (k-1)-truss skeleton are anchored
-        def anchorable(v: Int): Array[Int] =
-          g.incidentEdges(v).filter(e => !anchors(e) && dec.truss(e) >= k - 1).toArray
-        var bestV = -1
-        var bestScore = -1
-        cands.foreach { v =>
-          val incident = anchorable(v)
-          val score =
-            if (incident.isEmpty) 0
-            else finder.findMulti(dec.truss, dec.layer, incident, onlyLevel = k - 1).count
-          if (score > bestScore || (score == bestScore && (bestV == -1 || v < bestV))) {
-            bestScore = score; bestV = v
-          }
-        }
-        chosen += bestV
-        chosenSet += bestV
-        val newlyAnchored = anchorable(bestV)
-        if (newlyAnchored.nonEmpty) {
-          newlyAnchored.foreach(anchors(_) = true)
-          dec = LocalTruss.decompose(g, anchors)
-        }
+        chosen(bestV) = true
+        picks += bestV
+        val fresh = anchorable(bestV)
+        fresh.foreach(anchors(_) = true)
+        LocalTruss.decomposeAround(g, anchors, fresh).writeTo(truss, layer)
       }
     }
     // credit only level-(k-1) edges that entered the k-truss (+1 each)
-    val gain = {
-      var s = 0L
-      var e = 0
-      while (e < g.m) {
-        if (!anchors(e) && baseDec.truss(e) == k - 1 && dec.truss(e) >= k) s += 1
-        e += 1
-      }
-      s
-    }
-    KResult(k, chosen.toSeq, gain, (0 until g.m).filter(anchors(_)).toSeq)
-  }
-
-  /** Run AKT for every k in [3, kMax]; used for Table V's avg/max over k. */
-  def sweep(g: CompactGraph, b: Int): Seq[KResult] = {
-    val kMax = LocalTruss.decompose(g).kMax
-    (3 to kMax).map(k => run(g, k, b))
+    val gain = (0 until g.m).count(e => !anchors(e) && base.truss(e) == k - 1 && truss(e) >= k)
+    KResult(k, picks.toSeq, gain.toLong, (0 until g.m).filter(anchors(_)))
   }
 }

@@ -20,8 +20,8 @@ import scala.util.{Random, Using}
 object Baselines {
 
   /** Max trussness gain over `trials` random b-subsets of `pool`. */
-  def maxGainOverTrials(spark: SparkSession, g: CompactGraph, pool: Array[Int],
-                        b: Int, trials: Int, seed: Long): Long =
+  private def maxGainOverTrials(spark: SparkSession, g: CompactGraph, pool: Array[Int],
+                                b: Int, trials: Int, seed: Long): Long =
     maxGain(spark, g, b, trials, seed)((_, _) => pool)
 
   def rand(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 7L): Long =

@@ -125,13 +125,16 @@ object Greedy {
         rounds += RoundStats(round, best, scored.gain(best), scored.evaluated, scored.reusedFully,
                              (System.nanoTime() - t0) / 1000000)
       }
-      Result(rounds.map(_.anchor).toSeq, finalGain(g, anchors), rounds.toSeq)
+      val picked = rounds.map(_.anchor).toSeq
+      Result(picked, finalGain(g, anchors, picked), rounds.toSeq)
     }
   }
 
-  /** Exact TG(A, G) for a finished anchor mask. */
-  private def finalGain(g: CompactGraph, anchors: Array[Boolean]): Long =
-    LocalTruss.trussGain(g, LocalTruss.decompose(g), anchors)
+  /** Exact TG(A, G) for a finished anchor mask: a peel of the components
+    * of its anchors, `picked`, none of which the unanchored base holds.
+    */
+  private def finalGain(g: CompactGraph, anchors: Array[Boolean], picked: Seq[Int]): Long =
+    LocalTruss.gainAround(g, LocalTruss.decompose(g), anchors, picked)
 
   /** BASE and BASE+: decompose, then sweep every candidate. `kernel` sets a
     * task up from the graph, the round's decomposition and its anchor mask,

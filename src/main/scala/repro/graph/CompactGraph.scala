@@ -131,10 +131,6 @@ final class CompactGraph(
     }
     out.result()
   }
-
-  /** All edge ids incident to vertex u. */
-  def incidentEdges(u: Int): Seq[Int] =
-    (adjOff(u) until adjOff(u + 1)).map(adjE)
 }
 
 object CompactGraph {

@@ -118,7 +118,10 @@ object GraphGen {
   /** Exp-2 subgraph extraction (method of Linghu et al. [3], as described in
     * the paper): grow a vertex set from a seed vertex by repeatedly adding a
     * frontier vertex and its neighbors, stopping when the induced edge count
-    * reaches [lo, hi]. Returns the induced subgraph re-labelled to dense ids.
+    * reaches [lo, hi]. A frontier vertex whose addition would take the count
+    * above `hi` is not kept, so the result is induced and has at most `hi`
+    * edges (fewer than `lo` if every way on would overshoot). Returns the
+    * induced subgraph re-labelled to dense ids.
     */
   def extractSubgraph(g: CompactGraph, seedVertex: Int, lo: Int, hi: Int): CompactGraph = {
     val inSet = mutable.LinkedHashSet[Int](seedVertex)
@@ -139,8 +142,10 @@ object GraphGen {
       while (i < g.adjOff(u + 1) && !done) {
         val w = g.adjV(i)
         if (!inSet.contains(w)) {
-          inSet += w; queue += w
-          if (inducedEdgeCount >= lo) done = true
+          inSet += w
+          val count = inducedEdgeCount
+          if (count > hi) inSet -= w
+          else { queue += w; done = count >= lo }
         }
         i += 1
       }
@@ -150,6 +155,6 @@ object GraphGen {
       case e if inSet.contains(g.edgeU(e)) && inSet.contains(g.edgeV(e)) =>
         (relabel(g.edgeU(e)), relabel(g.edgeV(e)))
     }
-    CompactGraph.fromEdges(sub.take(hi)) // cap at hi edges
+    CompactGraph.fromEdges(sub)
   }
 }

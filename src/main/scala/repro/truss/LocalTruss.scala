@@ -21,8 +21,8 @@ import scala.collection.mutable
   * of the graph ([[CompactGraph]]'s component index). A removal changes
   * supports only through triangles, and a triangle's three edges share a
   * component, so each component peels exactly as it would inside the whole
-  * graph, sweep for sweep: `decompose` peels all of them, while `trussGain`
-  * and the GAS refresh peel only the components a new anchor reaches
+  * graph, sweep for sweep: `decompose` peels all of them, while `gainAround`,
+  * the GAS refresh and AKT peel only the components a new anchor reaches
   * ([[decomposeAround]]) and splice them into whole-graph arrays
   * ([[Local.writeTo]]).
   *
@@ -65,7 +65,8 @@ object LocalTruss {
     * `base` (paper's Definition 4): Σ over non-anchored edges of the
     * trussness increment. `base` is the decomposition of `g` under a subset
     * of `anchors` (or none). An O(m) scan of the mask finds the anchors new
-    * to `base`, then [[gainAround]] peels their components.
+    * to `base`, then [[gainAround]] peels their components. Library code
+    * calls [[gainAround]]; this stays public for atrbench and the tests.
     */
   def trussGain(g: CompactGraph, base: Result, anchors: Array[Boolean]): Long = {
     checkMask(g, anchors)
@@ -212,7 +213,7 @@ object LocalTruss {
     new Local(ids, truss, layer, kMax)
   }
 
-  /** Convenience: anchor-set from edge ids. */
+  /** Anchor-set from edge ids. Only atrbench and the tests call it. */
   def anchorMask(m: Int, ids: Iterable[Int]): Array[Boolean] = {
     val a = new Array[Boolean](m)
     ids.foreach(a(_) = true)

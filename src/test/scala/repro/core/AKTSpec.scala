@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, GraphGen}
 import repro.truss.LocalTruss
 
 /** AKT vertex-anchoring baseline (Exp-9 comparison). */
@@ -69,5 +69,24 @@ class AKTSpec extends AnyFunSuite {
         r.vertices.headOption.foreach(v => assert(hullVerts.contains(v)))
       }
     }
+  }
+
+  test("AKT.run equals ReferenceAKT.run on random graphs, a graph with isolated vertices and college") {
+    def same(g: CompactGraph, k: Int, b: Int, what: String): Unit = {
+      val got = AKT.run(g, k, b)
+      val want = ReferenceAKT.run(g, k, b)
+      assert(got == want, s"$what k=$k b=$b")
+    }
+    val randoms = (1 to 8).map(s => s"random seed $s" -> TestGraphs.random(14 + 2 * s, 45 + 10 * s, s * 131 + 7))
+    // vertex v of a random graph becomes 3v + 1, so ids 3v and 3v + 2 are isolated
+    val sparse = TestGraphs.random(16, 60, 977)
+    val isolated = CompactGraph.fromEdges((0 until sparse.m).map(e => (3 * sparse.edgeU(e) + 1, 3 * sparse.edgeV(e) + 1)))
+    for ((what, g) <- randoms :+ ("isolated vertices" -> isolated); k <- 3 to LocalTruss.decompose(g).kMax;
+         b <- Seq(0, 1, 2, 5))
+      same(g, k, b, what)
+    val college = GraphGen.graph("college")
+    val kMax = LocalTruss.decompose(college).kMax
+    for (k <- 3 to kMax) same(college, k, 10, "college")
+    assert(AKT.sweep(college, 10) == (3 to kMax).map(ReferenceAKT.run(college, _, 10)))
   }
 }

@@ -96,7 +96,12 @@ class CompactGraphSpec extends SparkSpec {
   test("incidentEdges returns each incident edge exactly once") {
     for (seed <- 1 to 10) {
       val g = TestGraphs.random(12, 40, seed * 13)
-      val all = (0 until g.n).flatMap(g.incidentEdges)
+      // vertex u's adjacency run lists each edge with endpoint u once
+      for (u <- 0 until g.n) {
+        val run = (g.adjOff(u) until g.adjOff(u + 1)).map(g.adjE)
+        assert(run.sorted == (0 until g.m).filter(e => g.edgeU(e) == u || g.edgeV(e) == u), s"seed=$seed u=$u")
+      }
+      val all = (0 until g.n).flatMap(u => (g.adjOff(u) until g.adjOff(u + 1)).map(g.adjE))
       assert(all.size == 2 * g.m)
       assert(all.groupBy(identity).forall(_._2.size == 2))
     }

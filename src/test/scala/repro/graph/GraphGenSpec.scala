@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.truss.LocalTruss
 
 /** The synthetic dataset stand-ins: determinism, scale ordering, and
@@ -52,5 +53,12 @@ class GraphGenSpec extends AnyFunSuite {
     val g = GraphGen.graph("college")
     val sub = GraphGen.extractSubgraph(g, seedVertex = g.adjV(0), lo = 150, hi = 250)
     assert(sub.m >= 100 && sub.m <= 250, s"sub.m=${sub.m}")
+  }
+
+  test("extractSubgraph keeps no vertex that would take it above hi, so a clique stays a clique") {
+    // on K_25 from vertex 0, 17 vertices induce 136 edges and an 18th would make 153
+    val sub = GraphGen.extractSubgraph(TestGraphs.clique(25), seedVertex = 0, lo = 140, hi = 150)
+    assert(sub.m <= 150, s"sub.m=${sub.m}")
+    assert(sub.m == sub.n * (sub.n - 1) / 2, s"${sub.m} edges on ${sub.n} vertices is not a clique")
   }
 }
